@@ -24,7 +24,6 @@ from .exact_linalg import ExactMatrix, dft_submatrix
 from .spark_engine import (
     DEFAULT_BUDGET,
     compressed_spark_probe,
-    default_threads,
     is_full_spark,
     numeric_spark_probe,
     spark,
@@ -83,6 +82,13 @@ def matrix_to_json(obj) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, and int() would truncate floats silently.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(doc: dict):
     """Parse a matrix document into an ExactMatrix or a complex array."""
     if not isinstance(doc, dict):
@@ -92,21 +98,21 @@ def matrix_from_json(doc: dict):
         raise UsageError(f"unsupported schema_version {version}")
     try:
         kind = doc["kind"]
-        rows = int(doc["rows"])
-        cols = int(doc["cols"])
+        rows = _json_int(doc["rows"], "rows")
+        cols = _json_int(doc["cols"], "cols")
         entries = doc["entries"]
+        order = _json_int(doc["order"], "order") if kind == "cyclotomic" else 1
     except KeyError as exc:
         raise UsageError(f"matrix file missing field {exc}") from exc
     if len(entries) != rows * cols:
         raise UsageError(f"expected {rows * cols} entries, got {len(entries)}")
     if kind == "integer":
-        return ExactMatrix(rows, cols, [int(e) for e in entries])
+        return ExactMatrix(rows, cols, [_json_int(e, "integer entry") for e in entries])
     if kind == "cyclotomic":
-        order = int(doc["order"])
         phi = euler_phi(order)
         scalars = []
         for coeffs in entries:
-            coeffs = [int(c) for c in coeffs]
+            coeffs = [_json_int(c, "cyclotomic coefficient") for c in coeffs]
             if len(coeffs) > phi:
                 raise UsageError(f"coefficient vector longer than {phi}")
             coeffs += [0] * (phi - len(coeffs))
@@ -144,7 +150,7 @@ def _rows_from_args(args) -> list[int]:
             data = _read_json(path)
             if not isinstance(data, list):
                 raise UsageError("rows file must hold a JSON list")
-            return [int(x) for x in data]
+            return [_json_int(x, "row") for x in data]
         with open(path, "r", encoding="utf-8") as fh:
             return _parse_int_list(fh.read())
     if getattr(args, "rows", None) is not None:
@@ -224,6 +230,7 @@ def _construct_rows(args) -> list[int]:
 def _matrix_for_spark(args):
     if args.dft is not None:
         rows = _rows_from_args(args)
+        dft_analysis.IndexSet.from_iterable(args.dft, rows)  # rejects repeated rows
         cols = _parse_int_list(args.cols) if args.cols else None
         return dft_submatrix(args.dft, rows, cols)
     if args.matrix is None:
@@ -453,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        default=default_threads(),
-        help="parallel sweep width (default: available parallelism)",
+        default=1,
+        help="accepted for compatibility; the sweep runs in one process",
     )
     _add_rows_opts(p)
     _add_budget_opt(p)

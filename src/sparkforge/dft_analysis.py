@@ -58,7 +58,7 @@ class IndexSet:
     def from_iterable(cls, order: int, members) -> "IndexSet":
         members = list(members)
         if len(set(members)) != len(members):
-            raise ValueError("duplicate members")
+            raise ValueError("duplicate rows")
         return cls(order, tuple(sorted(members)))
 
     def __iter__(self):

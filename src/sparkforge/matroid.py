@@ -34,6 +34,19 @@ __all__ = [
 ]
 
 
+def _field(data, key: str):
+    if not isinstance(data, dict) or key not in data:
+        raise ShapeError(f"graph file missing field {key!r}")
+    return data[key]
+
+
+def _graph_int(value) -> int:
+    # bool is an int subclass, and int() would truncate floats silently.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ShapeError(f"graph entries must be integers, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Ground elements 0..ground_size-1, each adjacent to right vertices."""
@@ -57,9 +70,9 @@ class BipartiteGraph:
     @classmethod
     def from_dict(cls, data: dict) -> "BipartiteGraph":
         return cls(
-            ground_size=int(data["ground"]),
-            right_size=int(data["right"]),
-            adj=tuple(tuple(int(v) for v in nbrs) for nbrs in data["adj"]),
+            ground_size=_graph_int(_field(data, "ground")),
+            right_size=_graph_int(_field(data, "right")),
+            adj=tuple(tuple(_graph_int(v) for v in nbrs) for nbrs in _field(data, "adj")),
         )
 
     def to_dict(self) -> dict:
@@ -92,8 +105,8 @@ class SimpleGraph:
     @classmethod
     def from_dict(cls, data: dict) -> "SimpleGraph":
         return cls(
-            vertices=int(data["vertices"]),
-            edges=tuple((int(a), int(b)) for a, b in data["edges"]),
+            vertices=_graph_int(_field(data, "vertices")),
+            edges=tuple((_graph_int(a), _graph_int(b)) for a, b in _field(data, "edges")),
         )
 
     def to_dict(self) -> dict:

@@ -8,17 +8,22 @@ when every MxM column submatrix is invertible.
 Subset sweeps run in lexicographic column order.  The witness reported is
 the lexicographically smallest dependent subset found at the answer size,
 and certificates are identical whatever the thread count.
+
+The full-spark sweep runs in one process.  It maps the matrix to F_p, for
+one prime p = 1 (mod N) above 2^30, under each of the phi(N) ring maps
+Z[w] -> F_p, and eliminates blocks of minors there with numpy.  A nonzero
+image proves a minor nonzero; a minor whose images all vanish is decided by
+the exact Q(w) determinant, so only exact arithmetic ever says "zero".
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import os
 import random
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .errors import (
     ShapeError,
     ZeroMatrix,
 )
+from .exact_arith import divisors
 from .exact_linalg import ExactMatrix, det_exact, rank_exact
 
 __all__ = [
@@ -42,9 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
-
-# Sweeps smaller than this stay sequential even when threads are offered.
-_PARALLEL_THRESHOLD = 2048
 
 
 @dataclass(frozen=True)
@@ -98,10 +101,12 @@ class SparkCertificate:
 class CompressedProbeResult:
     """Randomized one-sided test of the claim spark(F) > K.
 
-    A False answer is always evidence of a dependent set of size at most K
-    in the compressed matrix; it certifies spark(F) <= K only when the
+    A True answer is a proof: every K columns of some compressed matrix
+    Phi F are independent, and Phi F_S independent implies F_S independent.
+    A False answer is the probabilistic one: a sketch can make independent
+    columns of F dependent, so it certifies spark(F) <= K only when the
     candidate columns are confirmed dependent in F itself (the CLI offers
-    that corroboration).  A True answer is probabilistic.
+    that corroboration).
     """
 
     exceeds_k: bool
@@ -175,116 +180,92 @@ def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
     )
 
 
-def _comb_unrank(n: int, k: int, rank: int) -> list[int]:
-    out = []
-    c = 0
-    for remaining in range(k, 0, -1):
-        while True:
-            cnt = math.comb(n - c - 1, remaining - 1)
-            if rank < cnt:
-                out.append(c)
-                c += 1
-                break
-            rank -= cnt
-            c += 1
-    return out
+# Minors are decided modulo the first prime p = 1 (mod N) above 2^30, so
+# every residue stays below 2^31 and each fraction-free update pk*x - a*y
+# fits in int64.  Blocks of stacked minors start small, so that early
+# refutations stay cheap, and double up to about _BLOCK_ENTRIES int64 entries.
+_PRIME_FLOOR = 1 << 30
+_FIRST_BLOCK = 32
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _next_combination(combo: list[int], n: int) -> bool:
-    k = len(combo)
-    for i in range(k - 1, -1, -1):
-        if combo[i] != i + n - k:
-            combo[i] += 1
-            for j in range(i + 1, k):
-                combo[j] = combo[j - 1] + 1
-            return True
-    return False
+def _is_prime_below_2_31(n: int) -> bool:
+    """Deterministic Miller-Rabin on bases 2, 3, 5, 7; exact below 3.2e9."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for base in (2, 3, 5, 7):
+        x = pow(base, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
-_WORKER_MATRIX: ExactMatrix | None = None
+@functools.lru_cache(maxsize=None)
+def _modular_maps(order: int) -> tuple[int, np.ndarray]:
+    """(p, w) with w[k, i] = g^(e_k * i) mod p over the units e_k mod order.
 
-
-def _sweep_init(matrix: ExactMatrix) -> None:
-    global _WORKER_MATRIX
-    _WORKER_MATRIX = matrix
-
-
-def _sweep_chunk(span: tuple[int, int]) -> int | None:
-    """Scan ranks [start, start+count); return the first singular rank."""
-    start, count = span
-    a = _WORKER_MATRIX
-    n = a.cols
-    combo = _comb_unrank(n, a.rows, start)
-    for off in range(count):
-        if det_exact(a.column_submatrix(combo)).is_zero():
-            return start + off
-        if off + 1 < count and not _next_combination(combo, n):
-            break
-    return None
-
-
-def _full_spark_sequential(a: ExactMatrix, total: int, budget: int) -> SparkCertificate:
-    m, n = a.rows, a.cols
-    for idx, cols in enumerate(itertools.combinations(range(n), m)):
-        if det_exact(a.column_submatrix(cols)).is_zero():
-            return SparkCertificate(
-                spark=m,
-                rows=m,
-                cols=n,
-                witness=cols,
-                checked_subsets=idx + 1,
-                mode="exact",
-                budget=budget,
-            )
-    return SparkCertificate(
-        spark=m + 1,
-        rows=m,
-        cols=n,
-        witness=None,
-        checked_subsets=total,
-        mode="exact",
-        budget=budget,
+    g is a primitive order-th root of unity mod p, so row k is the image of
+    the power basis under the ring map Z[w] -> F_p sending w to g^(e_k);
+    these are all phi(order) such maps.
+    """
+    p = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order
+    while not _is_prime_below_2_31(p):
+        p += order
+    if p >= 1 << 31:
+        raise ValueError(f"no prime = 1 (mod {order}) in (2^30, 2^31)")
+    g = next(
+        g
+        for g in (pow(h, (p - 1) // order, p) for h in itertools.count(2))
+        if all(pow(g, d, p) != 1 for d in divisors(order)[:-1])
     )
+    units = [e for e in range(1, order + 1) if math.gcd(e, order) == 1]
+    w = np.array([[pow(g, e * i, p) for i in range(len(units))] for e in units], dtype=np.int64)
+    w.flags.writeable = False  # shared by every caller through the cache
+    return p, w
 
 
-def _full_spark_parallel(
-    a: ExactMatrix, total: int, budget: int, threads: int
-) -> SparkCertificate:
-    m, n = a.rows, a.cols
-    chunk = max(256, total // (threads * 8))
-    spans = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
-    hit = None
-    with ProcessPoolExecutor(
-        max_workers=threads, initializer=_sweep_init, initargs=(a,)
-    ) as pool:
-        futures = [pool.submit(_sweep_chunk, span) for span in spans]
-        # Consume in submission order so the first hit is the lex smallest.
-        for fut in futures:
-            rank = fut.result()
-            if rank is not None:
-                hit = rank
-                for later in futures:
-                    later.cancel()
-                break
-    if hit is None:
-        return SparkCertificate(
-            spark=m + 1,
-            rows=m,
-            cols=n,
-            witness=None,
-            checked_subsets=total,
-            mode="exact",
-            budget=budget,
-        )
-    return SparkCertificate(
-        spark=m,
-        rows=m,
-        cols=n,
-        witness=tuple(_comb_unrank(n, m, hit)),
-        checked_subsets=hit + 1,
-        mode="exact",
-        budget=budget,
-    )
+def _column_images(a: ExactMatrix, p: int, w: np.ndarray) -> np.ndarray:
+    """Images of a, transposed, under every map: shape (phi, cols, rows).
+
+    Each row is first scaled by the lcm of its denominators, which changes
+    no minor's vanishing.
+    """
+    phi = w.shape[0]
+    coeffs = np.empty((a.cols, a.rows, phi), dtype=np.int64)
+    for i in range(a.rows):
+        row = a.row_list(i)
+        if a.is_integer():
+            scaled = [(e,) for e in row]
+        else:
+            lcm = math.lcm(*(e.den for e in row))
+            scaled = [[c * (lcm // e.den) for c in e.num.coeffs] for e in row]
+        coeffs[:, i] = [[c % p for c in v] for v in scaled]
+    images = np.zeros((phi, a.cols, a.rows), dtype=np.int64)
+    for t in range(phi):
+        images = (images + w[:, t, None, None] * coeffs[None, :, :, t]) % p
+    return images
+
+
+def _vanishing_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
+    """Flags, per square matrix in the stack, whose determinant is 0 mod p.
+
+    Fraction-free elimination pivoting on the first nonzero entry: a step
+    with a nonzero pivot multiplies the determinant by a power of that
+    pivot, a unit, so no inverse is needed.  The stack is overwritten.
+    """
+    singular = np.zeros(stack.shape[0], dtype=bool)
+    at = np.arange(stack.shape[0])
+    for _ in range(stack.shape[1]):
+        nonzero = stack[:, :, 0] != 0
+        singular |= ~nonzero.any(axis=1)
+        pivot = nonzero.argmax(axis=1)
+        top = stack[at, pivot]
+        stack[at, pivot] = stack[:, 0]
+        rest = top[:, :1, None] * stack[:, 1:, 1:]
+        rest -= stack[:, 1:, :1] * top[:, None, 1:]
+        stack = np.remainder(rest, p, out=rest)
+    return singular
 
 
 def is_full_spark(
@@ -292,10 +273,16 @@ def is_full_spark(
 ) -> SparkCertificate:
     """Check every MxM column submatrix for invertibility, exactly.
 
-    The sweep may be split across worker processes; the certificate is the
-    same for every thread count.
+    Column subsets are swept in lexicographic order, in blocks, in one
+    process.  Every minor of a block is reduced to F_p under each ring map
+    Z[w] -> F_p and eliminated there in a batch; a nonzero image proves the
+    minor nonzero.  A subset whose images all vanish is decided by det_exact,
+    and the first exact zero is the witness.  ``threads`` is accepted for
+    compatibility and changes nothing.
     """
     m, n = a.rows, a.cols
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if m > n:
         raise ShapeError(f"full spark needs cols >= rows, got {m}x{n}")
     total = math.comb(n, m)
@@ -303,13 +290,26 @@ def is_full_spark(
         raise BudgetExceeded(
             f"sweep needs {total} subsets, budget {budget}", k_reached=m
         )
-    if threads > 1 and total >= _PARALLEL_THRESHOLD:
-        return _full_spark_parallel(a, total, budget, threads)
-    return _full_spark_sequential(a, total, budget)
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
+    full = SparkCertificate(
+        spark=m + 1, rows=m, cols=n, witness=None,
+        checked_subsets=total, mode="exact", budget=budget,
+    )
+    p, w = _modular_maps(a.order)
+    phi = w.shape[0]
+    images = _column_images(a, p, w)
+    cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * m))
+    combos = itertools.combinations(range(n), m)
+    size, done = min(_FIRST_BLOCK, cap), 0
+    while block := list(itertools.islice(combos, size)):
+        idx = np.array(block, dtype=np.intp).reshape(len(block), m)
+        stack = images[:, idx].reshape(phi * len(block), m, m)
+        vanish = _vanishing_mod_p(stack, p).reshape(phi, len(block)).all(axis=0)
+        for j in np.flatnonzero(vanish):
+            if det_exact(a.column_submatrix(block[j])).is_zero():
+                return replace(full, spark=m, witness=block[j], checked_subsets=done + int(j) + 1)
+        done += len(block)
+        size = min(2 * size, cap)
+    return full
 
 
 def numeric_spark_probe(

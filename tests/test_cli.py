@@ -319,3 +319,66 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["full_spark"] is True and doc["command"] == "full-spark"
+
+
+def _one_line_error(code, doc, err):
+    return code == 2 and doc is None and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_full_spark_threads_below_one_exit_two(capsys):
+    for value in ("0", "-3"):
+        code, doc, err = _run(
+            capsys, ["full-spark", "--dft", "7", "--rows", "0,1", "--threads", value]
+        )
+        assert _one_line_error(code, doc, err) and "threads must be at least 1" in err
+    code, doc, _ = _run(capsys, ["full-spark", "--dft", "7", "--rows", "0,1", "--threads", "2"])
+    assert code == 0 and doc["full_spark"] is True
+
+
+def test_dft_rows_with_repeats_or_non_integers_exit_two(capsys, tmp_path):
+    for command in ("spark", "full-spark"):
+        code, doc, err = _run(capsys, [command, "--dft", "7", "--rows", "0,0,1"])
+        assert _one_line_error(code, doc, err) and "duplicate rows" in err
+    rows_file = _write_json(tmp_path / "rows.json", [0, 1.7])
+    code, doc, err = _run(capsys, ["full-spark", "--dft", "7", "--rows-file", rows_file])
+    assert _one_line_error(code, doc, err) and "row must be an integer" in err
+
+
+def test_matrix_files_reject_non_integer_entries(capsys, tmp_path):
+    bad = [
+        {"kind": "integer", "rows": 1, "cols": 2, "entries": [1.7, True]},
+        {"kind": "integer", "rows": 1, "cols": 2, "entries": [1, True]},
+        {"kind": "integer", "rows": 1.0, "cols": 2, "entries": [1, 2]},
+        {"kind": "cyclotomic", "order": 5, "rows": 1, "cols": 2,
+         "entries": [[1, 2.5], [0, 1]]},
+        {"kind": "cyclotomic", "order": 5, "rows": 1, "cols": 2,
+         "entries": [[1, False], [0, 1]]},
+        {"kind": "cyclotomic", "rows": 1, "cols": 1, "entries": [[1]]},
+    ]
+    for i, doc in enumerate(bad):
+        path = _write_json(tmp_path / f"bad{i}.json", dict(doc, schema_version=1))
+        for command in ("spark", "full-spark"):
+            code, out, err = _run(capsys, [command, "--matrix", path])
+            assert _one_line_error(code, out, err), (doc, err)
+
+
+def test_graph_files_with_missing_or_ill_typed_fields_exit_two(capsys, tmp_path):
+    bipartite = [
+        {"ground": 2, "adj": [[0], [0]]},
+        {"ground": 2, "right": 1.5, "adj": [[0], [0]]},
+        {"ground": 2, "right": 1, "adj": [[0], [True]]},
+        [2, 1],
+    ]
+    for i, doc in enumerate(bipartite):
+        path = _write_json(tmp_path / f"bip{i}.json", doc)
+        code, out, err = _run(capsys, ["matroid-girth", "--graph", path])
+        assert _one_line_error(code, out, err), (doc, err)
+    simple = [
+        {"vertices": 3},
+        {"edges": [[0, 1]]},
+        {"vertices": 3, "edges": [[0, 1.0]]},
+    ]
+    for i, doc in enumerate(simple):
+        path = _write_json(tmp_path / f"simple{i}.json", doc)
+        code, out, err = _run(capsys, ["clique-gadget", "--graph", path, "--k", "3"])
+        assert _one_line_error(code, out, err), (doc, err)
