@@ -1,113 +1,15 @@
-"""Exact spark certification, frame constructions, and matroid girth tools."""
+"""Exact spark certification, frame constructions, and matroid girth tools.
 
-from . import errors
-from .exact_arith import (
-    CycInt,
-    ExactScalar,
-    cyclotomic_poly,
-    divisors,
-    euler_phi,
-    is_prime,
-    is_prime_power,
-    root_power,
-)
-from .exact_linalg import ExactMatrix, det_exact, dft_submatrix, rank_exact
-from .spark_engine import (
-    DEFAULT_BUDGET,
-    CompressedProbeResult,
-    SparkCertificate,
-    compressed_spark_probe,
-    is_full_spark,
-    numeric_spark_probe,
-    spark,
-)
-from .constructions import (
-    CoherenceResult,
-    Frame,
-    Provenance,
-    coherence,
-    g_eval,
-    harmonic,
-    harmonic_identity,
-    optimal_vandermonde,
-    parseval_projection,
-    quadratic_residue_rows,
-    vandermonde,
-    welch_bound_sq,
-)
-from .dft_analysis import (
-    DistributionReport,
-    IndexSet,
-    PrimePowerVerdict,
-    RipCheckResult,
-    UniformityResult,
-    closure_orbit,
-    distribution_report,
-    full_spark_prime_power,
-    is_uniformly_distributed,
-    rip_necessary_check,
-)
-from .matroid import (
-    BipartiteGraph,
-    GirthResult,
-    SimpleGraph,
-    clique_gadget,
-    girth_via_representation,
-    hall_girth,
-    random_representation,
-)
+The package re-exports every public name of its six library modules; each
+module's ``__all__`` is the one list of what it exports.
+"""
+
+from . import constructions, dft_analysis, errors, exact_arith, exact_linalg, matroid, spark_engine
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "CycInt",
-    "ExactScalar",
-    "cyclotomic_poly",
-    "root_power",
-    "euler_phi",
-    "divisors",
-    "is_prime",
-    "is_prime_power",
-    "ExactMatrix",
-    "det_exact",
-    "rank_exact",
-    "dft_submatrix",
-    "SparkCertificate",
-    "CompressedProbeResult",
-    "spark",
-    "is_full_spark",
-    "numeric_spark_probe",
-    "compressed_spark_probe",
-    "DEFAULT_BUDGET",
-    "Frame",
-    "Provenance",
-    "CoherenceResult",
-    "vandermonde",
-    "harmonic",
-    "harmonic_identity",
-    "quadratic_residue_rows",
-    "parseval_projection",
-    "coherence",
-    "welch_bound_sq",
-    "g_eval",
-    "optimal_vandermonde",
-    "IndexSet",
-    "DistributionReport",
-    "UniformityResult",
-    "PrimePowerVerdict",
-    "RipCheckResult",
-    "distribution_report",
-    "is_uniformly_distributed",
-    "full_spark_prime_power",
-    "closure_orbit",
-    "rip_necessary_check",
-    "BipartiteGraph",
-    "SimpleGraph",
-    "GirthResult",
-    "hall_girth",
-    "random_representation",
-    "girth_via_representation",
-    "clique_gadget",
-    "__version__",
-]
+_MODULES = (exact_arith, exact_linalg, spark_engine, constructions, dft_analysis, matroid)
+
+globals().update({name: getattr(module, name) for module in _MODULES for name in module.__all__})
+
+__all__ = ["errors", *(name for module in _MODULES for name in module.__all__), "__version__"]

@@ -1,13 +1,18 @@
 """Exact determinants and ranks for integer and cyclotomic matrices.
 
 Matrices hold either arbitrary-precision integers or ExactScalar entries.
-Determinants use fraction-free elimination (Bareiss) in the integer case and
-ordinary Gaussian elimination over the scalar field otherwise, pivoting on
-the first nonzero entry of each column.  Ranks use the matching echelon
-procedure on rectangular shapes.
+Each domain has one echelon routine, pivoting on the first nonzero entry of
+each column, that det_exact and rank_exact both read: fraction-free Bareiss
+elimination over the integers, whose last pivot is the determinant up to
+the sign of the row swaps, and Gaussian elimination over Q(w), whose
+determinant is the signed product of the pivots.  For a determinant both
+stop at the first column without a pivot, and neither inverts a pivot that
+has nothing left to eliminate.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import IndexOutOfRange, ShapeError, SideLimitExceeded
 from .exact_arith import CycInt, ExactScalar, root_power
@@ -99,12 +104,6 @@ class ExactMatrix:
                 ents.append(self.entries[base + c])
         return ExactMatrix(self.rows, len(cols), ents, self.order)
 
-    def submatrix(self, rows, cols) -> "ExactMatrix":
-        rows = list(rows)
-        cols = list(cols)
-        ents = [self.entries[i * self.cols + j] for i in rows for j in cols]
-        return ExactMatrix(len(rows), len(cols), ents, self.order)
-
     def transpose(self) -> "ExactMatrix":
         ents = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
         return ExactMatrix(self.cols, self.rows, ents, self.order)
@@ -158,86 +157,25 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, order={self.order}, kind={self.kind})"
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [r[:] for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pk = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]
+def _bareiss(m: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, int, int]:
+    """Fraction-free echelon of the integer rows m, in place.
 
-
-def _det_scalar(rows: list[list[ExactScalar]], order: int) -> ExactScalar:
-    n = len(rows)
-    if n == 0:
-        return ExactScalar.one(order)
-    m = [r[:] for r in rows]
-    det = ExactScalar.one(order)
-    negate = False
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-        if pivot is None:
-            return ExactScalar.zero(order)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            negate = not negate
-        pk = m[k][k]
-        det = det * pk
-        if k == n - 1:
-            break
-        inv_p = pk.inverse()
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            aik = row_i[k]
-            if aik.is_zero():
-                continue
-            f = aik * inv_p
-            for j in range(k + 1, n):
-                akj = row_k[j]
-                if not akj.is_zero():
-                    row_i[j] = row_i[j] - f * akj
-    return -det if negate else det
-
-
-def det_exact(a: ExactMatrix, side_limit: int = DEFAULT_SIDE_LIMIT) -> ExactScalar:
-    """Exact determinant; 0x0 matrices have determinant one."""
-    if a.rows != a.cols:
-        raise ShapeError(f"determinant of a {a.rows}x{a.cols} matrix")
-    if a.rows > side_limit:
-        raise SideLimitExceeded(f"side {a.rows} exceeds limit {side_limit}")
-    if a.kind == _INT:
-        return ExactScalar.from_int(1, _det_int(a.to_rows()))
-    return _det_scalar(a.to_rows(), a.order)
-
-
-def _rank_int(rows: list[list[int]], nrows: int, ncols: int) -> int:
-    m = [r[:] for r in rows]
-    rank = 0
-    prev = 1
+    Returns (rank, sign, last): sign is the parity of the row swaps and last
+    the last pivot, so a square matrix of full rank has determinant
+    sign * last.  With stop_at_gap the sweep ends at the first column without
+    a pivot, where the determinant is already known to be zero.
+    """
+    nrows = len(m)
+    rank, sign, prev = 0, 1, 1
     for c in range(ncols):
         pivot = next((i for i in range(rank, nrows) if m[i][c]), None)
         if pivot is None:
+            if stop_at_gap:
+                break
             continue
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
         p = m[rank][c]
         row_r = m[rank]
         for i in range(rank + 1, nrows):
@@ -245,26 +183,39 @@ def _rank_int(rows: list[list[int]], nrows: int, ncols: int) -> int:
             aic = row_i[c]
             for j in range(c + 1, ncols):
                 row_i[j] = (p * row_i[j] - aic * row_r[j]) // prev
-            row_i[c] = 0
         prev = p
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, sign, prev
 
 
-def _rank_scalar(rows: list[list[ExactScalar]], nrows: int, ncols: int) -> int:
-    m = [r[:] for r in rows]
-    rank = 0
+def _gauss(m: list[list[ExactScalar]], ncols: int, stop_at_gap: bool) -> tuple[int, list]:
+    """Gaussian echelon of the Q(w) rows m, in place.
+
+    Returns (sign, pivots): the rank is the number of pivots, and a square
+    matrix of full rank has determinant sign times their product.  A pivot
+    with no row or no column left after it is never inverted.  stop_at_gap
+    ends the sweep at the first column without a pivot, as in _bareiss.
+    """
+    nrows = len(m)
+    sign, pivots = 1, []
     for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if not m[i][c].is_zero()), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
         if pivot is None:
+            if stop_at_gap:
+                break
             continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-        inv_p = m[rank][c].inverse()
-        row_r = m[rank]
-        for i in range(rank + 1, nrows):
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        pivots.append(m[r][c])
+        if r + 1 == nrows or c + 1 == ncols:
+            break
+        inv_p = pivots[-1].inverse()
+        row_r = m[r]
+        for i in range(r + 1, nrows):
             row_i = m[i]
             aic = row_i[c]
             if aic.is_zero():
@@ -274,20 +225,30 @@ def _rank_scalar(rows: list[list[ExactScalar]], nrows: int, ncols: int) -> int:
                 arj = row_r[j]
                 if not arj.is_zero():
                     row_i[j] = row_i[j] - f * arj
-            row_i[c] = ExactScalar.zero(row_i[c].order)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return sign, pivots
+
+
+def det_exact(a: ExactMatrix, side_limit: int = DEFAULT_SIDE_LIMIT) -> ExactScalar:
+    """Exact determinant; 0x0 matrices have determinant one."""
+    if a.rows != a.cols:
+        raise ShapeError(f"determinant of a {a.rows}x{a.cols} matrix")
+    if a.rows > side_limit:
+        raise SideLimitExceeded(f"side {a.rows} exceeds limit {side_limit}")
+    if a.kind == _INT:
+        rank, sign, last = _bareiss(a.to_rows(), a.cols, stop_at_gap=True)
+        return ExactScalar.from_int(1, sign * last if rank == a.rows else 0)
+    sign, pivots = _gauss(a.to_rows(), a.cols, stop_at_gap=True)
+    if len(pivots) < a.rows:
+        return ExactScalar.zero(a.order)
+    det = math.prod(pivots, start=ExactScalar.one(a.order))
+    return det if sign > 0 else -det
 
 
 def rank_exact(a: ExactMatrix) -> int:
     """Exact rank over the entry field."""
-    if a.rows == 0 or a.cols == 0:
-        return 0
     if a.kind == _INT:
-        return _rank_int(a.to_rows(), a.rows, a.cols)
-    return _rank_scalar(a.to_rows(), a.rows, a.cols)
+        return _bareiss(a.to_rows(), a.cols, stop_at_gap=False)[0]
+    return len(_gauss(a.to_rows(), a.cols, stop_at_gap=False)[1])
 
 
 def dft_submatrix(order: int, rows, cols=None) -> ExactMatrix:

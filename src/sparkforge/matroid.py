@@ -14,14 +14,13 @@ the max over independent draws only improves.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 
-from .errors import BadK, BudgetExceeded, ShapeError, ZeroMatrix
+from .errors import BadK, ShapeError
 from .exact_linalg import ExactMatrix
-from .spark_engine import DEFAULT_BUDGET, spark
+from .spark_engine import DEFAULT_BUDGET, _first_dependent, spark
 
 __all__ = [
     "BipartiteGraph",
@@ -158,24 +157,15 @@ def hall_girth(g: BipartiteGraph, budget: int = DEFAULT_BUDGET) -> GirthResult:
     for e, nbrs in enumerate(g.adj):
         for v in nbrs:
             masks[e] |= 1 << v
-    checked = 0
-    for k in range(1, n + 1):
-        level = math.comb(n, k)
-        if checked + level > budget:
-            raise BudgetExceeded(
-                f"size-{k} level needs {level} more subsets, budget {budget}",
-                k_reached=k,
-            )
-        for combo in itertools.combinations(range(n), k):
-            checked += 1
-            union = 0
-            for e in combo:
-                union |= masks[e]
-            if union.bit_count() <= k - 1:
-                return GirthResult(
-                    girth=k, ground_size=n, witness=combo, method="hall_oracle"
-                )
-    return GirthResult(girth=n + 1, ground_size=n, witness=None, method="hall_oracle")
+
+    def dependent(combo):
+        union = 0
+        for e in combo:
+            union |= masks[e]
+        return union.bit_count() < len(combo)
+
+    girth, witness, _ = _first_dependent(n, n, budget, dependent)
+    return GirthResult(girth=girth, ground_size=n, witness=witness, method="hall_oracle")
 
 
 def random_representation(g: BipartiteGraph, rng_seed: int) -> ExactMatrix:
@@ -209,38 +199,28 @@ def girth_via_representation(
 
     Every draw satisfies spark <= girth, so the estimate only ever falls
     short, and each draw independently achieves equality with probability
-    at least 1/2.
+    at least 1/2.  A graph without edges is decided before any draw, as
+    hall_girth decides it: girth 1 with witness (0,), or with no witness
+    when the ground set is empty.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if g.right_size < 1:
-        raise ShapeError("need at least one right vertex")
+    n = g.ground_size
+    if not any(g.adj):
+        # No edges: every element is a loop, decided without a draw.
+        return GirthResult(
+            girth=1, ground_size=n, witness=(0,) if n else None,
+            method="representation", trials=trials, seed=rng_seed,
+        )
     master = random.Random(rng_seed)
     seeds = [master.randrange(2**62) for _ in range(trials)]
-    best = None
-    for s in seeds:
-        matrix = random_representation(g, s)
-        try:
-            cert = spark(matrix, budget=budget)
-        except ZeroMatrix:
-            # Every ground element is isolated; singletons are dependent.
-            return GirthResult(
-                girth=1,
-                ground_size=g.ground_size,
-                witness=(0,),
-                method="representation",
-                trials=trials,
-                seed=rng_seed,
-            )
-        if best is None or cert.spark > best.spark:
-            best = cert
+    best = max(
+        (spark(random_representation(g, s), budget=budget) for s in seeds),
+        key=lambda cert: cert.spark,
+    )
     return GirthResult(
-        girth=best.spark,
-        ground_size=g.ground_size,
-        witness=best.witness,
-        method="representation",
-        trials=trials,
-        seed=rng_seed,
+        girth=best.spark, ground_size=n, witness=best.witness,
+        method="representation", trials=trials, seed=rng_seed,
     )
 
 

@@ -5,15 +5,20 @@ subset, with sentinel cols+1 when every column subset is independent.  A
 matrix with M rows is "full spark" when the spark equals M+1, equivalently
 when every MxM column submatrix is invertible.
 
-Subset sweeps run in lexicographic column order.  The witness reported is
-the lexicographically smallest dependent subset found at the answer size,
-and certificates are identical whatever the thread count.
+One subset sweep, _first_dependent, decides spark, the numeric probe and
+the Hall girth of matroid: sizes 1, 2, ... in turn, each in lexicographic
+column order and entered only when its whole level fits in the budget, with
+the caller's test of one subset.  The witness reported is the
+lexicographically smallest dependent subset at the answer size, and
+certificates are identical whatever the thread count.
 
-The full-spark sweep runs in one process.  It maps the matrix to F_p, for
-one prime p = 1 (mod N) above 2^30, under each of the phi(N) ring maps
-Z[w] -> F_p, and eliminates blocks of minors there with numpy.  A nonzero
-image proves a minor nonzero; a minor whose images all vanish is decided by
-the exact Q(w) determinant, so only exact arithmetic ever says "zero".
+The full-spark check sweeps the single size M in lexicographic blocks of
+its own, in one process, and needs the whole sweep to fit in the budget.
+It maps the matrix to F_p, for one prime p = 1 (mod N) above 2^30, under
+each of the phi(N) ring maps Z[w] -> F_p, and eliminates blocks of minors
+there with numpy.  A nonzero image proves a minor nonzero; a minor whose
+images all vanish is decided by the exact Q(w) determinant, so only exact
+arithmetic ever says "zero".
 """
 
 from __future__ import annotations
@@ -134,49 +139,59 @@ class CompressedProbeResult:
         }
 
 
-def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
-    """Exact spark by ascending subset size with short circuit.
+def _lex_rank(n: int, combo: tuple[int, ...]) -> int:
+    """How many size-len(combo) subsets of range(n) precede combo in lex order."""
+    k, rank, prev = len(combo), 0, -1
+    for i, c in enumerate(combo):
+        rank += sum(math.comb(n - x - 1, k - i - 1) for x in range(prev + 1, c))
+        prev = c
+    return rank
 
-    Each size level is enumerated in lexicographic column order and only
-    entered when it fits in the remaining budget; BudgetExceeded reports
-    the size that could not be swept.
+
+def _first_dependent(
+    n: int, max_k: int, budget: int, dependent
+) -> tuple[int, tuple[int, ...] | None, int]:
+    """The one subset sweep: (k, cols, checked) for the first dependent subset.
+
+    Sizes 1..max_k are taken in turn, each in lexicographic order over
+    range(n), and a size is entered only when its whole level fits in what
+    is left of the budget; BudgetExceeded names the first size that does
+    not.  ``dependent(cols)`` decides one subset; ``checked`` counts every
+    subset up to and including the answer.  When no subset is dependent the
+    answer is (max_k + 1, None, checked).
     """
-    if a.is_zero():
-        raise ZeroMatrix("spark of the zero matrix is undefined")
-    m, n = a.rows, a.cols
     checked = 0
-    for k in range(1, min(m, n) + 1):
+    for k in range(1, max_k + 1):
         level = math.comb(n, k)
         if checked + level > budget:
             raise BudgetExceeded(
                 f"size-{k} level needs {level} more subsets, budget {budget}",
                 k_reached=k,
             )
-        for cols in itertools.combinations(range(n), k):
-            checked += 1
-            if rank_exact(a.column_submatrix(cols)) < k:
-                return SparkCertificate(
-                    spark=k,
-                    rows=m,
-                    cols=n,
-                    witness=cols,
-                    checked_subsets=checked,
-                    mode="exact",
-                    budget=budget,
-                )
-    if n > m:
-        # Any m+1 columns in an m-row matrix are dependent.
-        final = m + 1
-    else:
-        final = n + 1
+        # filter() drives the level from C, which keeps the per-subset cost
+        # of a cheap test such as Hall's close to that of an inline loop.
+        cols = next(filter(dependent, itertools.combinations(range(n), k)), None)
+        if cols is not None:
+            return k, cols, checked + _lex_rank(n, cols) + 1
+        checked += level
+    return max_k + 1, None, checked
+
+
+def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
+    """Exact spark by the size-then-lex subset sweep, with short circuit.
+
+    Past size min(rows, cols) every subset is dependent (or none is left),
+    so that size plus one is the spark when no smaller subset is dependent.
+    """
+    if a.is_zero():
+        raise ZeroMatrix("spark of the zero matrix is undefined")
+    m, n = a.rows, a.cols
+    k, witness, checked = _first_dependent(
+        n, min(m, n), budget, lambda cols: rank_exact(a.column_submatrix(cols)) < len(cols)
+    )
     return SparkCertificate(
-        spark=final,
-        rows=m,
-        cols=n,
-        witness=None,
-        checked_subsets=checked,
-        mode="exact",
-        budget=budget,
+        spark=k, rows=m, cols=n, witness=witness,
+        checked_subsets=checked, mode="exact", budget=budget,
     )
 
 
@@ -328,38 +343,17 @@ def numeric_spark_probe(
     if not np.isfinite(arr).all():
         raise NonFiniteEntry("matrix contains NaN or infinity")
     m, n = arr.shape
-    checked = 0
-    for k in range(1, min(m, n) + 1):
-        level = math.comb(n, k)
-        if checked + level > budget:
-            raise BudgetExceeded(
-                f"size-{k} level needs {level} more subsets, budget {budget}",
-                k_reached=k,
-            )
-        for cols in itertools.combinations(range(n), k):
-            checked += 1
-            sub = arr[:, cols]
-            s = np.linalg.svd(sub, compute_uv=False)
-            smax = float(s[0])
-            if smax == 0.0 or float(s[-1]) <= tol * smax * max(sub.shape):
-                return SparkCertificate(
-                    spark=k,
-                    rows=m,
-                    cols=n,
-                    witness=cols,
-                    checked_subsets=checked,
-                    mode="numeric",
-                    budget=budget,
-                )
-    final = m + 1 if n > m else n + 1
+
+    def dependent(cols):
+        sub = arr[:, cols]
+        s = np.linalg.svd(sub, compute_uv=False)
+        smax = float(s[0])
+        return smax == 0.0 or float(s[-1]) <= tol * smax * max(sub.shape)
+
+    k, witness, checked = _first_dependent(n, min(m, n), budget, dependent)
     return SparkCertificate(
-        spark=final,
-        rows=m,
-        cols=n,
-        witness=None,
-        checked_subsets=checked,
-        mode="numeric",
-        budget=budget,
+        spark=k, rows=m, cols=n, witness=witness,
+        checked_subsets=checked, mode="numeric", budget=budget,
     )
 
 

@@ -190,6 +190,22 @@ def test_matroid_girth_both_methods(capsys, tmp_path):
     assert doc["trials"] == 5 and doc["seed"] == 3
 
 
+@pytest.mark.parametrize("ground, right, witness", [(0, 1, None), (2, 1, [0]), (2, 0, [0])])
+def test_matroid_girth_representation_edgeless_graph(capsys, tmp_path, ground, right, witness):
+    graph = _write_json(
+        tmp_path / "graph.json", {"ground": ground, "right": right, "adj": [[]] * ground}
+    )
+    argv = ["matroid-girth", "--graph", graph, "--method", "representation",
+            "--trials", "3", "--seed", "4"]
+    code, doc, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert doc["girth"] == 1 and doc["witness"] == witness
+    assert doc["sentinel"] is (ground == 0)
+    assert doc["trials"] == 3 and doc["seed"] == 4
+    _, hall, _ = _run(capsys, ["matroid-girth", "--graph", graph])
+    assert (hall["girth"], hall["witness"]) == (doc["girth"], doc["witness"])
+
+
 def test_clique_gadget_girth_flag(capsys, tmp_path):
     k4 = _write_json(
         tmp_path / "k4.json",

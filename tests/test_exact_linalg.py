@@ -104,6 +104,31 @@ def test_row_swap_flips_sign_and_row_scale_scales():
         assert det_exact(ExactMatrix.from_rows(scaled)) == d * ExactScalar.from_int(1, s)
 
 
+def test_q_w_elimination_inverts_only_pivots_with_work_after_them(monkeypatch):
+    # Inverses dominate exact Q(w) time; a pivot with no row or no column
+    # after it, or anything past a pivotless column of a determinant, needs none.
+    calls = []
+    original = ExactScalar.inverse
+    monkeypatch.setattr(ExactScalar, "inverse", lambda self: calls.append(1) or original(self))
+
+    def inverses(fn, a):
+        calls.clear()
+        fn(a)
+        return len(calls)
+
+    square = dft_submatrix(5, (0, 1, 2, 3), (0, 1, 2, 3))
+    wide = dft_submatrix(5, (0, 1))
+    # Column 1 is twice column 0, so elimination finds no pivot there.
+    gap = ExactMatrix.from_rows([[ExactScalar.from_int(5, v) for v in row] for row in (
+        [1, 2, 0, 1], [1, 2, 1, 0], [2, 4, 1, 1], [0, 0, 1, 2])])
+    assert inverses(det_exact, square) == 3
+    assert inverses(rank_exact, square) == 3
+    assert inverses(rank_exact, wide) == 1
+    assert inverses(rank_exact, wide.transpose()) == 1
+    assert inverses(det_exact, gap) == 1 and det_exact(gap).is_zero()
+    assert inverses(rank_exact, gap) == 2 and rank_exact(gap) == 3
+
+
 def test_det_shape_and_side_limit_errors():
     rect = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ShapeError):

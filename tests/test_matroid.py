@@ -123,6 +123,23 @@ def test_girth_via_representation_free_matroid():
     assert res.trials == 3 and res.seed == 5
 
 
+@pytest.mark.parametrize("ground, right", [(0, 0), (0, 2), (1, 0), (3, 0), (3, 2)])
+def test_girth_via_representation_edgeless_graph_matches_hall(ground, right):
+    g = BipartiteGraph(ground, right, ((),) * ground)
+    res = girth_via_representation(g, trials=4, rng_seed=9)
+    hall = hall_girth(g)
+    assert (res.girth, res.witness, res.sentinel) == (hall.girth, hall.witness, hall.sentinel)
+    assert res.girth == 1
+    assert res.witness == ((0,) if ground else None)
+    assert res.method == "representation"
+    assert res.trials == 4 and res.seed == 9
+
+
+def test_girth_via_representation_rejects_nonpositive_trials():
+    with pytest.raises(ValueError):
+        girth_via_representation(BipartiteGraph(0, 0, ()), trials=0, rng_seed=0)
+
+
 def test_girth_via_representation_matches_hall_on_fixed_graphs():
     rng = random.Random(31)
     graphs = [_random_bipartite(rng) for _ in range(20)]
