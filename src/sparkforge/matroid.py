@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import BadK, ShapeError
 from .exact_linalg import ExactMatrix
-from .spark_engine import DEFAULT_BUDGET, _first_dependent, spark
+from .spark_engine import DEFAULT_BUDGET, _first_dependent, _subset_search, spark
 
 __all__ = [
     "BipartiteGraph",
@@ -164,7 +164,7 @@ def hall_girth(g: BipartiteGraph, budget: int = DEFAULT_BUDGET) -> GirthResult:
             union |= masks[e]
         return union.bit_count() < len(combo)
 
-    girth, witness, _ = _first_dependent(n, n, budget, dependent)
+    girth, witness, _ = _first_dependent(n, n, budget, _subset_search(n, dependent))
     return GirthResult(girth=girth, ground_size=n, witness=witness, method="hall_oracle")
 
 

@@ -6,19 +6,17 @@ matrix with M rows is "full spark" when the spark equals M+1, equivalently
 when every MxM column submatrix is invertible.
 
 One subset sweep, _first_dependent, decides spark, the numeric probe and
-the Hall girth of matroid: sizes 1, 2, ... in turn, each in lexicographic
-column order and entered only when its whole level fits in the budget, with
-the caller's test of one subset.  The witness reported is the
-lexicographically smallest dependent subset at the answer size, and
-certificates are identical whatever the thread count.
+the Hall girth of matroid: sizes 1, 2, ... in turn, each entered only when
+its whole level fits in the budget and searched in lexicographic column
+order.  The witness reported is the lexicographically smallest dependent
+subset at the answer size, whatever the thread count.
 
-The full-spark check sweeps the single size M in lexicographic blocks of
-its own, in one process, and needs the whole sweep to fit in the budget.
-It maps the matrix to F_p, for one prime p = 1 (mod N) above 2^30, under
-each of the phi(N) ring maps Z[w] -> F_p, and eliminates blocks of minors
-there with numpy.  A nonzero image proves a minor nonzero; a minor whose
-images all vanish is decided by the exact Q(w) determinant, so only exact
-arithmetic ever says "zero".
+The numeric probe and Hall girth test one subset at a time.  spark, and
+the full-spark check of the single size M, search in blocks mod p: the
+matrix is mapped to F_p, p = 1 (mod N) a prime above 2^30, under each of
+the phi(N) ring maps Z[w] -> F_p, and a block is eliminated with numpy.
+Rank mod p never exceeds the true rank, so one image of full rank proves a
+subset independent, and only exact Q(w) arithmetic ever says "dependent".
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,16 +147,16 @@ def _lex_rank(n: int, combo: tuple[int, ...]) -> int:
 
 
 def _first_dependent(
-    n: int, max_k: int, budget: int, dependent
+    n: int, max_k: int, budget: int, search
 ) -> tuple[int, tuple[int, ...] | None, int]:
     """The one subset sweep: (k, cols, checked) for the first dependent subset.
 
-    Sizes 1..max_k are taken in turn, each in lexicographic order over
-    range(n), and a size is entered only when its whole level fits in what
-    is left of the budget; BudgetExceeded names the first size that does
-    not.  ``dependent(cols)`` decides one subset; ``checked`` counts every
-    subset up to and including the answer.  When no subset is dependent the
-    answer is (max_k + 1, None, checked).
+    Sizes 1..max_k are taken in turn, and a size is entered only when its
+    whole level fits in what is left of the budget; BudgetExceeded names the
+    first size that does not.  ``search(k)`` returns the lexicographically
+    first dependent size-k subset of range(n), or None; ``checked`` counts
+    every subset up to and including the answer.  When no subset is
+    dependent the answer is (max_k + 1, None, checked).
     """
     checked = 0
     for k in range(1, max_k + 1):
@@ -168,36 +166,41 @@ def _first_dependent(
                 f"size-{k} level needs {level} more subsets, budget {budget}",
                 k_reached=k,
             )
-        # filter() drives the level from C, which keeps the per-subset cost
-        # of a cheap test such as Hall's close to that of an inline loop.
-        cols = next(filter(dependent, itertools.combinations(range(n), k)), None)
+        cols = search(k)
         if cols is not None:
             return k, cols, checked + _lex_rank(n, cols) + 1
         checked += level
     return max_k + 1, None, checked
 
 
-def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
-    """Exact spark by the size-then-lex subset sweep, with short circuit.
+def _subset_search(n: int, dependent):
+    """A level search over range(n) that tests one subset at a time."""
+    # filter() drives the level from C, which keeps the per-subset cost of a
+    # cheap test such as Hall's close to that of an inline loop.
+    return lambda k: next(filter(dependent, itertools.combinations(range(n), k)), None)
 
+
+def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
+    """Exact spark by the size-then-lex sweep, each level searched mod p.
+
+    rank_exact decides each subset that is rank deficient under every map.
     Past size min(rows, cols) every subset is dependent (or none is left),
     so that size plus one is the spark when no smaller subset is dependent.
     """
     if a.is_zero():
         raise ZeroMatrix("spark of the zero matrix is undefined")
     m, n = a.rows, a.cols
-    k, witness, checked = _first_dependent(
-        n, min(m, n), budget, lambda cols: rank_exact(a.column_submatrix(cols)) < len(cols)
-    )
+    search = _block_search(a, lambda cols: rank_exact(a.column_submatrix(cols)) < len(cols))
+    k, witness, checked = _first_dependent(n, min(m, n), budget, search)
     return SparkCertificate(
         spark=k, rows=m, cols=n, witness=witness,
         checked_subsets=checked, mode="exact", budget=budget,
     )
 
 
-# Minors are decided modulo the first prime p = 1 (mod N) above 2^30, so
+# Subsets are decided modulo the first prime p = 1 (mod N) above 2^30, so
 # every residue stays below 2^31 and each fraction-free update pk*x - a*y
-# fits in int64.  Blocks of stacked minors start small, so that early
+# fits in int64.  Blocks of stacked subsets start small, so that early
 # refutations stay cheap, and double up to about _BLOCK_ENTRIES int64 entries.
 _PRIME_FLOOR = 1 << 30
 _FIRST_BLOCK = 32
@@ -263,24 +266,53 @@ def _column_images(a: ExactMatrix, p: int, w: np.ndarray) -> np.ndarray:
 
 
 def _vanishing_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
-    """Flags, per square matrix in the stack, whose determinant is 0 mod p.
+    """Flags, per m x k matrix in the stack (k <= m), whose rank mod p is below k.
 
-    Fraction-free elimination pivoting on the first nonzero entry: a step
-    with a nonzero pivot multiplies the determinant by a power of that
-    pivot, a unit, so no inverse is needed.  The stack is overwritten.
+    Fraction-free elimination column by column, pivoting on the first
+    nonzero entry: a step with a nonzero pivot scales rows by a unit, so no
+    inverse is needed.  The stack is overwritten.
     """
-    singular = np.zeros(stack.shape[0], dtype=bool)
+    deficient = np.zeros(stack.shape[0], dtype=bool)
     at = np.arange(stack.shape[0])
-    for _ in range(stack.shape[1]):
+    for _ in range(stack.shape[2]):
         nonzero = stack[:, :, 0] != 0
-        singular |= ~nonzero.any(axis=1)
+        deficient |= ~nonzero.any(axis=1)
         pivot = nonzero.argmax(axis=1)
         top = stack[at, pivot]
         stack[at, pivot] = stack[:, 0]
         rest = top[:, :1, None] * stack[:, 1:, 1:]
         rest -= stack[:, 1:, :1] * top[:, None, 1:]
         stack = np.remainder(rest, p, out=rest)
-    return singular
+    return deficient
+
+
+def _block_search(a: ExactMatrix, dependent):
+    """A level search over the columns of a, in lexicographic blocks mod p.
+
+    Each size-k subset of a block is stacked as an m x k image per map; a
+    subset whose images are all deficient goes to the exact test
+    ``dependent(cols)``, and if that fails (p divides every k x k minor) the
+    search goes on.
+    """
+    p, w = _modular_maps(a.order)
+    images = _column_images(a, p, w)
+    phi, n, m = images.shape
+
+    def search(k):
+        cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * k))
+        combos = itertools.combinations(range(n), k)
+        size = min(_FIRST_BLOCK, cap)
+        while block := list(itertools.islice(combos, size)):
+            idx = np.array(block, dtype=np.intp).reshape(len(block), k)
+            stack = images[:, idx].swapaxes(2, 3).reshape(phi * len(block), m, k)
+            deficient = _vanishing_mod_p(stack, p).reshape(phi, len(block)).all(axis=0)
+            for j in np.flatnonzero(deficient):
+                if dependent(block[j]):
+                    return block[j]
+            size = min(2 * size, cap)
+        return None
+
+    return search
 
 
 def is_full_spark(
@@ -288,12 +320,11 @@ def is_full_spark(
 ) -> SparkCertificate:
     """Check every MxM column submatrix for invertibility, exactly.
 
-    Column subsets are swept in lexicographic order, in blocks, in one
-    process.  Every minor of a block is reduced to F_p under each ring map
-    Z[w] -> F_p and eliminated there in a batch; a nonzero image proves the
-    minor nonzero.  A subset whose images all vanish is decided by det_exact,
-    and the first exact zero is the witness.  ``threads`` is accepted for
-    compatibility and changes nothing.
+    The single size M is searched by _block_search, and the whole sweep
+    must fit in the budget.  A minor with a nonzero image under some ring
+    map Z[w] -> F_p is nonzero; a subset whose images all vanish is decided
+    by det_exact, and the first exact zero is the witness.  ``threads`` is
+    accepted for compatibility and changes nothing.
     """
     m, n = a.rows, a.cols
     if threads < 1:
@@ -305,26 +336,12 @@ def is_full_spark(
         raise BudgetExceeded(
             f"sweep needs {total} subsets, budget {budget}", k_reached=m
         )
-    full = SparkCertificate(
-        spark=m + 1, rows=m, cols=n, witness=None,
-        checked_subsets=total, mode="exact", budget=budget,
+    witness = _block_search(a, lambda cols: det_exact(a.column_submatrix(cols)).is_zero())(m)
+    return SparkCertificate(
+        spark=m + 1 if witness is None else m, rows=m, cols=n, witness=witness,
+        checked_subsets=total if witness is None else _lex_rank(n, witness) + 1,
+        mode="exact", budget=budget,
     )
-    p, w = _modular_maps(a.order)
-    phi = w.shape[0]
-    images = _column_images(a, p, w)
-    cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * m))
-    combos = itertools.combinations(range(n), m)
-    size, done = min(_FIRST_BLOCK, cap), 0
-    while block := list(itertools.islice(combos, size)):
-        idx = np.array(block, dtype=np.intp).reshape(len(block), m)
-        stack = images[:, idx].reshape(phi * len(block), m, m)
-        vanish = _vanishing_mod_p(stack, p).reshape(phi, len(block)).all(axis=0)
-        for j in np.flatnonzero(vanish):
-            if det_exact(a.column_submatrix(block[j])).is_zero():
-                return replace(full, spark=m, witness=block[j], checked_subsets=done + int(j) + 1)
-        done += len(block)
-        size = min(2 * size, cap)
-    return full
 
 
 def numeric_spark_probe(
@@ -350,7 +367,7 @@ def numeric_spark_probe(
         smax = float(s[0])
         return smax == 0.0 or float(s[-1]) <= tol * smax * max(sub.shape)
 
-    k, witness, checked = _first_dependent(n, min(m, n), budget, dependent)
+    k, witness, checked = _first_dependent(n, min(m, n), budget, _subset_search(n, dependent))
     return SparkCertificate(
         spark=k, rows=m, cols=n, witness=witness,
         checked_subsets=checked, mode="numeric", budget=budget,
