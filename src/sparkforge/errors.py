@@ -17,10 +17,6 @@ class ShapeError(SparkforgeError):
     """Operands have incompatible or unsupported dimensions."""
 
 
-class ZeroMatrix(SparkforgeError):
-    """All entries are zero, so the requested quantity is undefined."""
-
-
 class NonFiniteEntry(SparkforgeError):
     """A floating-point input contains NaN or infinity."""
 

@@ -16,7 +16,10 @@ the full-spark check of the single size M, search in blocks mod p: the
 matrix is mapped to F_p, p = 1 (mod N) a prime above 2^30, under each of
 the phi(N) ring maps Z[w] -> F_p, and a block is eliminated with numpy.
 Rank mod p never exceeds the true rank, so one image of full rank proves a
-subset independent, and only exact Q(w) arithmetic ever says "dependent".
+subset independent.  A subset deficient under every map is dependent only
+if a norm-bound proof says so: further primes are taken until their
+product exceeds a Hadamard bound on every conjugate of every minor, and the
+subset stays deficient under all of their maps.  No Q(w) arithmetic runs.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from .errors import (
     CapExceeded,
     NonFiniteEntry,
     ShapeError,
-    ZeroMatrix,
 )
-from .exact_arith import divisors
-from .exact_linalg import ExactMatrix, det_exact, rank_exact
+from .exact_arith import divisors, euler_phi
+from .exact_linalg import ExactMatrix
+from .exact_linalg import det_exact, rank_exact  # noqa: F401 (bench/run.py --trace 1 wraps them)
 
 __all__ = [
     "SparkCertificate",
@@ -183,25 +186,24 @@ def _subset_search(n: int, dependent):
 def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
     """Exact spark by the size-then-lex sweep, each level searched mod p.
 
-    rank_exact decides each subset that is rank deficient under every map.
-    Past size min(rows, cols) every subset is dependent (or none is left),
-    so that size plus one is the spark when no smaller subset is dependent.
+    _block_search proves each dependent subset by the norm bound, with no
+    Q(w) arithmetic.  Past size min(rows, cols) every subset is dependent
+    (or none is left), so that size plus one is the spark when no smaller
+    subset is dependent.  A zero column is a dependent singleton, so the
+    zero matrix has spark 1 and witness (0,).
     """
-    if a.is_zero():
-        raise ZeroMatrix("spark of the zero matrix is undefined")
     m, n = a.rows, a.cols
-    search = _block_search(a, lambda cols: rank_exact(a.column_submatrix(cols)) < len(cols))
-    k, witness, checked = _first_dependent(n, min(m, n), budget, search)
+    k, witness, checked = _first_dependent(n, min(m, n), budget, _block_search(a))
     return SparkCertificate(
         spark=k, rows=m, cols=n, witness=witness,
         checked_subsets=checked, mode="exact", budget=budget,
     )
 
 
-# Subsets are decided modulo the first prime p = 1 (mod N) above 2^30, so
-# every residue stays below 2^31 and each fraction-free update pk*x - a*y
-# fits in int64.  Blocks of stacked subsets start small, so that early
-# refutations stay cheap, and double up to about _BLOCK_ENTRIES int64 entries.
+# Subsets are decided modulo primes p = 1 (mod N) above 2^30, so every
+# residue stays below 2^31 and each fraction-free update pk*x - a*y fits in
+# int64.  Blocks of stacked subsets start small, so that early refutations
+# stay cheap, and double up to about _BLOCK_ENTRIES int64 entries.
 _PRIME_FLOOR = 1 << 30
 _FIRST_BLOCK = 32
 _BLOCK_ENTRIES = 1 << 16
@@ -220,18 +222,22 @@ def _is_prime_below_2_31(n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _modular_maps(order: int) -> tuple[int, np.ndarray]:
-    """(p, w) with w[k, i] = g^(e_k * i) mod p over the units e_k mod order.
+def _modular_maps(order: int, index: int = 0) -> tuple[int, np.ndarray]:
+    """(p, w) for the index-th prime p = 1 (mod order) above 2^30.
 
-    g is a primitive order-th root of unity mod p, so row k is the image of
-    the power basis under the ring map Z[w] -> F_p sending w to g^(e_k);
-    these are all phi(order) such maps.
+    w[k, i] = g^(e_k * i) mod p over the units e_k mod order, g a primitive
+    order-th root of unity mod p, so row k is the image of the power basis
+    under the ring map Z[w] -> F_p sending w to g^(e_k); these are all
+    phi(order) such maps.
     """
-    p = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order
+    if index:
+        p = _modular_maps(order, index - 1)[0] + order
+    else:
+        p = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order
     while not _is_prime_below_2_31(p):
         p += order
     if p >= 1 << 31:
-        raise ValueError(f"no prime = 1 (mod {order}) in (2^30, 2^31)")
+        raise ValueError(f"fewer than {index + 1} primes = 1 (mod {order}) in (2^30, 2^31)")
     g = next(
         g
         for g in (pow(h, (p - 1) // order, p) for h in itertools.count(2))
@@ -243,25 +249,31 @@ def _modular_maps(order: int) -> tuple[int, np.ndarray]:
     return p, w
 
 
-def _column_images(a: ExactMatrix, p: int, w: np.ndarray) -> np.ndarray:
-    """Images of a, transposed, under every map: shape (phi, cols, rows).
+def _integral_coeffs(a: ExactMatrix) -> np.ndarray:
+    """Power-basis coefficients of a as Python ints, shape (cols, rows, phi).
 
-    Each row is first scaled by the lcm of its denominators, which changes
-    no minor's vanishing.
+    Each row is first scaled by the lcm of its denominators, which puts
+    every entry in Z[w] and changes no minor's vanishing.
     """
-    phi = w.shape[0]
-    coeffs = np.empty((a.cols, a.rows, phi), dtype=np.int64)
+    flat = []
     for i in range(a.rows):
         row = a.row_list(i)
         if a.is_integer():
-            scaled = [(e,) for e in row]
+            flat.extend(row)
         else:
             lcm = math.lcm(*(e.den for e in row))
-            scaled = [[c * (lcm // e.den) for c in e.num.coeffs] for e in row]
-        coeffs[:, i] = [[c % p for c in v] for v in scaled]
-    images = np.zeros((phi, a.cols, a.rows), dtype=np.int64)
-    for t in range(phi):
-        images = (images + w[:, t, None, None] * coeffs[None, :, :, t]) % p
+            for e in row:
+                flat.extend(c * (lcm // e.den) for c in e.num.coeffs)
+    coeffs = np.array(flat, dtype=object).reshape(a.rows, a.cols, euler_phi(a.order))
+    return coeffs.swapaxes(0, 1)
+
+
+def _column_images(coeffs: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
+    """Images of the columns under every map of p: shape (phi, cols, rows)."""
+    residues = (coeffs % p).astype(np.int64)
+    images = np.zeros((w.shape[0],) + residues.shape[:2], dtype=np.int64)
+    for t in range(w.shape[0]):
+        images = (images + w[:, t, None, None] * residues[None, :, :, t]) % p
     return images
 
 
@@ -286,17 +298,29 @@ def _vanishing_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     return deficient
 
 
-def _block_search(a: ExactMatrix, dependent):
+def _block_search(a: ExactMatrix):
     """A level search over the columns of a, in lexicographic blocks mod p.
 
-    Each size-k subset of a block is stacked as an m x k image per map; a
-    subset whose images are all deficient goes to the exact test
-    ``dependent(cols)``, and if that fails (p divides every k x k minor) the
-    search goes on.
+    Each size-k subset of a block is stacked as an m x k image under every
+    map of the first prime p; one image of rank k proves the subset
+    independent.  The first subset whose images are all deficient goes to
+    _dependent_by_norm, and if that finds an image of rank k under a
+    further prime (p divides every k x k minor) the search goes on.
     """
-    p, w = _modular_maps(a.order)
-    images = _column_images(a, p, w)
+    coeffs = _integral_coeffs(a)
+    p, w = _modular_maps(a.order, 0)
+    images = _column_images(coeffs, p, w)
     phi, n, m = images.shape
+    # sum_i L1(a_ij)^2 for each column j, computed at the first candidate
+    # only, since most sweeps have none and entries may be large.
+    col_norms = []
+
+    def dependent(cols):
+        if not col_norms:
+            l1 = np.abs(coeffs).sum(axis=2)
+            col_norms.extend((l1 * l1).sum(axis=1).tolist())
+        h2 = math.prod(col_norms[j] for j in cols)
+        return _dependent_by_norm(coeffs[list(cols)], h2, a.order, p)
 
     def search(k):
         cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * k))
@@ -315,6 +339,29 @@ def _block_search(a: ExactMatrix, dependent):
     return search
 
 
+def _dependent_by_norm(coeffs: np.ndarray, h2: int, order: int, p: int) -> bool:
+    """Decide k columns of Z[w] entries, rank deficient under every map of p.
+
+    ``coeffs`` has shape (k, rows, phi), and ``h2`` is the product over the
+    columns of sum_i L1(a_ij)^2, which bounds |sigma(alpha)|^2 for every
+    k x k minor alpha and every embedding sigma (Hadamard's inequality).
+    A prime = 1 (mod order) splits completely in Z[w], so a minor that
+    vanishes under all phi maps of each prime taken is divisible by their
+    product P, and |Norm alpha| >= P^phi unless alpha = 0.  Primes are
+    therefore added until P^2 > h2: the columns are dependent if they stay
+    deficient under every map of every prime, and independent as soon as
+    one image has rank k (Cabay and Lam, 1977).
+    """
+    modulus, index = p, 0
+    while modulus * modulus <= h2:
+        index += 1
+        q, w = _modular_maps(order, index)
+        if not _vanishing_mod_p(_column_images(coeffs, q, w).swapaxes(1, 2), q).all():
+            return False
+        modulus *= q
+    return True
+
+
 def is_full_spark(
     a: ExactMatrix, budget: int = DEFAULT_BUDGET, threads: int = 1
 ) -> SparkCertificate:
@@ -322,9 +369,9 @@ def is_full_spark(
 
     The single size M is searched by _block_search, and the whole sweep
     must fit in the budget.  A minor with a nonzero image under some ring
-    map Z[w] -> F_p is nonzero; a subset whose images all vanish is decided
-    by det_exact, and the first exact zero is the witness.  ``threads`` is
-    accepted for compatibility and changes nothing.
+    map Z[w] -> F_p is nonzero; a minor whose images all vanish is zero
+    when the norm bound proves it, and the first such minor is the
+    witness.  ``threads`` is accepted for compatibility and changes nothing.
     """
     m, n = a.rows, a.cols
     if threads < 1:
@@ -336,7 +383,7 @@ def is_full_spark(
         raise BudgetExceeded(
             f"sweep needs {total} subsets, budget {budget}", k_reached=m
         )
-    witness = _block_search(a, lambda cols: det_exact(a.column_submatrix(cols)).is_zero())(m)
+    witness = _block_search(a)(m)
     return SparkCertificate(
         spark=m + 1 if witness is None else m, rows=m, cols=n, witness=witness,
         checked_subsets=total if witness is None else _lex_rank(n, witness) + 1,

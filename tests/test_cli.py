@@ -120,6 +120,22 @@ def test_spark_numeric_matrix_file(capsys, tmp_path):
     assert doc["mode"] == "numeric"
 
 
+def test_spark_zero_matrix_exits_zero_exact_and_numeric(capsys, tmp_path):
+    exact = _write_json(
+        tmp_path / "zeros.json",
+        {"schema_version": 1, "kind": "integer", "rows": 2, "cols": 3, "entries": [0] * 6},
+    )
+    numeric = _write_json(
+        tmp_path / "zeros_float.json",
+        {"schema_version": 1, "kind": "complex_float", "rows": 2, "cols": 3,
+         "entries": [[0, 0]] * 6},
+    )
+    for path, mode in ((exact, "exact"), (numeric, "numeric")):
+        code, doc, err = _run(capsys, ["spark", "--matrix", path])
+        assert (code, err) == (0, "")
+        assert (doc["spark"], doc["witness"], doc["checked_subsets"], doc["mode"]) == (1, [0], 1, mode)
+
+
 def test_dft_analyze_singer_violation(capsys, tmp_path):
     rows = _write_json(tmp_path / "singer.json", list(SINGER_121))
     code, doc, _ = _run(capsys, ["dft-analyze", "--n", "121", "--rows-file", rows])

@@ -19,13 +19,13 @@ from sparkforge import (
     spark,
     vandermonde,
 )
+from sparkforge.exact_arith import ExactScalar
 from sparkforge.exact_linalg import ExactMatrix
 from sparkforge.errors import (
     BudgetExceeded,
     CapExceeded,
     NonFiniteEntry,
     ShapeError,
-    ZeroMatrix,
 )
 
 
@@ -59,9 +59,16 @@ def test_spark_distinct_vandermonde_is_full():
     assert not cert.sentinel
 
 
-def test_spark_rejects_zero_matrix():
-    with pytest.raises(ZeroMatrix):
-        spark(ExactMatrix.from_rows([[0, 0], [0, 0]]))
+def test_spark_of_zero_matrix_is_one():
+    # A zero column is a dependent singleton, as the numeric probe says too.
+    for a in (
+        ExactMatrix.from_rows([[0, 0], [0, 0]]),
+        ExactMatrix(2, 3, [ExactScalar.zero(5)] * 6),
+    ):
+        cert = spark(a)
+        assert (cert.spark, cert.witness, cert.checked_subsets) == (1, (0,), 1)
+        probe = numeric_spark_probe(np.zeros((a.rows, a.cols)))
+        assert (probe.spark, probe.witness, probe.checked_subsets) == (1, (0,), 1)
 
 
 def test_spark_budget_reports_k_reached():

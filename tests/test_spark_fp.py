@@ -5,8 +5,8 @@ subset, sizes 1, 2, ... in turn, each in lexicographic order, a size entered
 only when its whole level fits in what is left of the budget.  The engine's
 certificate, or its BudgetExceeded message and k_reached, must equal the
 oracle's.  The tests also pin down that every rank deficiency mod p, and
-only such a deficiency, reaches rank_exact, and the rectangular elimination
-kernel against a plain Gauss-Jordan rank mod p.
+only such a deficiency, reaches the norm-bound proof, and the rectangular
+elimination kernel against a plain Gauss-Jordan rank mod p.
 """
 
 import functools
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from sparkforge import spark_engine
-from sparkforge.errors import BudgetExceeded, ZeroMatrix
+from sparkforge.errors import BudgetExceeded
 from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix, rank_exact
 from sparkforge.spark_engine import (
@@ -32,8 +32,6 @@ from sparkforge.spark_engine import (
 
 def oracle(a, budget=DEFAULT_BUDGET, dependent=None):
     """The per-subset rank_exact sweep: a certificate, or BudgetExceeded."""
-    if a.is_zero():
-        raise ZeroMatrix("spark of the zero matrix is undefined")
     dependent = dependent or (lambda cols: rank_exact(a.column_submatrix(cols)) < len(cols))
     m, n = a.rows, a.cols
     checked = 0
@@ -141,10 +139,6 @@ def test_random_cyclotomic_matrices_with_denominators():
             for r in range(m):
                 ents[r * n + j] = ents[r * n + i] * factor
         a = ExactMatrix(m, n, ents, order)
-        if a.is_zero():
-            with pytest.raises(ZeroMatrix):
-                spark(a)
-            continue
         for outcome in _check_every_budget(a):
             if isinstance(outcome, dict):
                 witness_sizes.add(outcome["witness"] and len(outcome["witness"]))
@@ -212,19 +206,22 @@ def _rank_mod_p(rows, p):
     return rank
 
 
-def _count_rank_calls(monkeypatch):
+def _count_proofs(monkeypatch):
+    """Record, per call of the norm-bound proof, the integer columns it decides."""
     calls = []
+    prove = spark_engine._dependent_by_norm
 
-    def counting(a):
-        calls.append(a)
-        return rank_exact(a)
+    def counting(coeffs, *args):
+        calls.append(coeffs[:, :, 0].T.tolist())
+        return prove(coeffs, *args)
 
-    monkeypatch.setattr(spark_engine, "rank_exact", counting)
+    monkeypatch.setattr(spark_engine, "_dependent_by_norm", counting)
     return calls
 
 
 def test_full_spark_matrices_never_call_rank_exact(monkeypatch):
-    calls = _count_rank_calls(monkeypatch)
+    calls = _count_proofs(monkeypatch)
+    monkeypatch.setattr(spark_engine, "rank_exact", None)  # any call would fail
     a = ExactMatrix.from_rows([[b**i for b in range(1, 11)] for i in range(4)])
     cert = spark(a)
     assert cert.full_spark and cert.checked_subsets == 385
@@ -247,7 +244,7 @@ def test_full_spark_matrices_never_call_rank_exact(monkeypatch):
         [[1, 0, 1, 2], [0, 1, 1, 5], [1, 1, 2, 7]],  # rank 2
     ],
 )
-def test_refuted_spark_calls_rank_exact_once_per_deficient_candidate(monkeypatch, rows):
+def test_refuted_spark_runs_the_norm_proof_once_per_deficient_candidate(monkeypatch, rows):
     p = _modular_maps(1)[0]
     columns = list(zip(*rows))
     cert = oracle(ExactMatrix.from_rows(rows))
@@ -258,12 +255,26 @@ def test_refuted_spark_calls_rank_exact_once_per_deficient_candidate(monkeypatch
         if (k, cols) <= (cert.spark, cert.witness)
         and _rank_mod_p([columns[c] for c in cols], p) < k
     ]
-    calls = _count_rank_calls(monkeypatch)
+    calls = _count_proofs(monkeypatch)
     assert spark(ExactMatrix.from_rows(rows)) == cert
-    assert [m.to_rows() for m in calls] == [
-        [[row[c] for c in cols] for row in rows] for cols in candidates
-    ]
+    assert calls == [[[row[c] for c in cols] for row in rows] for cols in candidates]
     assert candidates[-1] == cert.witness
+
+
+def test_refuted_dft_sweeps_make_no_q_w_inverse(monkeypatch):
+    inverses = []
+    invert = ExactScalar.inverse
+
+    def counting(self):
+        inverses.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(ExactScalar, "inverse", counting)
+    a = dft_submatrix(10, (0, 1, 3, 4))
+    cert = spark_engine.is_full_spark(a)
+    assert not cert.full_spark and cert.witness is not None
+    assert spark(a).witness is not None
+    assert inverses == []
 
 
 def test_rectangular_kernel_matches_rank_mod_p():
