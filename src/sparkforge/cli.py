@@ -89,21 +89,32 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_count(value, what: str) -> int:
+    value = _json_int(value, what)
+    if value < 0:
+        raise UsageError(f"{what} must be non-negative, got {value}")
+    return value
+
+
 def matrix_from_json(doc: dict):
     """Parse a matrix document into an ExactMatrix or a complex array."""
     if not isinstance(doc, dict):
         raise UsageError("matrix file must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise UsageError(f"unsupported schema_version {version}")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise UsageError(f"unsupported schema_version {version!r}")
     try:
         kind = doc["kind"]
-        rows = _json_int(doc["rows"], "rows")
-        cols = _json_int(doc["cols"], "cols")
+        rows = _json_count(doc["rows"], "rows")
+        cols = _json_count(doc["cols"], "cols")
         entries = doc["entries"]
         order = _json_int(doc["order"], "order") if kind == "cyclotomic" else 1
     except KeyError as exc:
         raise UsageError(f"matrix file missing field {exc}") from exc
+    if not isinstance(entries, list):
+        raise UsageError(f"entries must be a JSON list, got {entries!r}")
+    if order < 1:
+        raise UsageError("order must be positive")
     if len(entries) != rows * cols:
         raise UsageError(f"expected {rows * cols} entries, got {len(entries)}")
     if kind == "integer":
@@ -112,6 +123,8 @@ def matrix_from_json(doc: dict):
         phi = euler_phi(order)
         scalars = []
         for coeffs in entries:
+            if not isinstance(coeffs, list):
+                raise UsageError(f"cyclotomic entry must be a list of coefficients, got {coeffs!r}")
             coeffs = [_json_int(c, "cyclotomic coefficient") for c in coeffs]
             if len(coeffs) > phi:
                 raise UsageError(f"coefficient vector longer than {phi}")
@@ -119,6 +132,10 @@ def matrix_from_json(doc: dict):
             scalars.append(ExactScalar(CycInt(order, coeffs)))
         return ExactMatrix(rows, cols, scalars, order)
     if kind == "complex_float":
+        for e in entries:
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e)):
+                raise UsageError(f"complex entry must be a [real, imag] pair of numbers, got {e!r}")
         data = [complex(re, im) for re, im in entries]
         return np.array(data, dtype=complex).reshape(rows, cols)
     raise UsageError(f"unknown matrix kind {kind!r}")

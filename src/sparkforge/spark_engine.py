@@ -20,6 +20,13 @@ subset independent.  A subset deficient under every map is dependent only
 if a norm-bound proof says so: further primes are taken until their
 product exceeds a Hadamard bound on every conjugate of every minor, and the
 subset stays deficient under all of their maps.  No Q(w) arithmetic runs.
+
+When the matrix is rows of the N-th DFT over all N columns, the rank of a
+column subset is constant on its orbit under the affine maps c -> u c + t
+of Z_N (u a unit): the map scales each row by a root of unity and applies
+the Galois map w -> w^u.  The block search then stacks only the lex-min
+member of each orbit, in lex order, which finds the same first dependent
+subset; certificates and budgets count every subset as before.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -39,7 +47,7 @@ from .errors import (
     NonFiniteEntry,
     ShapeError,
 )
-from .exact_arith import divisors, euler_phi
+from .exact_arith import divisors, euler_phi, root_power
 from .exact_linalg import ExactMatrix
 from .exact_linalg import det_exact, rank_exact  # noqa: F401 (bench/run.py --trace 1 wraps them)
 
@@ -306,10 +314,25 @@ def _block_search(a: ExactMatrix):
     independent.  The first subset whose images are all deficient goes to
     _dependent_by_norm, and if that finds an image of rank k under a
     further prime (p divides every k x k minor) the search goes on.
+
+    When a is DFT rows over all N columns (_dft_rows), the rank of a
+    column subset is constant on its orbit under the affine maps
+    c -> u c + t of Z_N, so only the lex-min member of each orbit is
+    stacked, in lex order.  The first dependent representative is then
+    the lex-first dependent subset overall, and the answer is the one the
+    full lex sweep gives.
     """
-    coeffs = _integral_coeffs(a)
     p, w = _modular_maps(a.order, 0)
-    images = _column_images(coeffs, p, w)
+    exponents = _dft_rows(a)
+    if exponents is None:
+        coeffs = _integral_coeffs(a)
+        images = _column_images(coeffs, p, w)
+    else:
+        # Entry (i, j) is w^(r_i j): coefficients and images are read from
+        # the order's table of roots.
+        roots, root_images = _root_table(a.order)
+        power = np.outer(range(a.cols), np.array(exponents, dtype=np.intp)) % a.order
+        coeffs, images = roots[power], root_images[:, power]
     phi, n, m = images.shape
     # sum_i L1(a_ij)^2 for each column j, computed at the first candidate
     # only, since most sweeps have none and entries may be large.
@@ -324,9 +347,12 @@ def _block_search(a: ExactMatrix):
 
     def search(k):
         cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * k))
-        combos = itertools.combinations(range(n), k)
+        if exponents is None:
+            subsets = itertools.combinations(range(n), k)
+        else:
+            subsets = _orbit_representatives(n, k)
         size = min(_FIRST_BLOCK, cap)
-        while block := list(itertools.islice(combos, size)):
+        while block := list(itertools.islice(subsets, size)):
             idx = np.array(block, dtype=np.intp).reshape(len(block), k)
             stack = images[:, idx].swapaxes(2, 3).reshape(phi * len(block), m, k)
             deficient = _vanishing_mod_p(stack, p).reshape(phi, len(block)).all(axis=0)
@@ -337,6 +363,138 @@ def _block_search(a: ExactMatrix):
         return None
 
     return search
+
+
+# Orbit masks are int64, so the affine-orbit sweep takes N <= 63.
+_MAX_ORBIT_ORDER = 63
+
+
+def _dft_rows(a: ExactMatrix) -> tuple[int, ...] | None:
+    """The r_i when entry (i, j) of a is exactly w^(r_i j) for every j in
+    0..N-1, with cols = order = N (rows of the N-th DFT over all columns);
+    None otherwise.
+
+    Entries are compared exactly, on their power-basis coefficients and
+    denominator 1, so any other matrix (another root anywhere, a scaled
+    row, columns missing or out of that order) takes the plain sweep.
+    """
+    n = a.cols
+    if a.is_integer() or a.order != n or n > _MAX_ORBIT_ORDER:
+        return None
+    table = _dft_row_table(n)
+    exponents = tuple(
+        table.get(tuple([(e.num.coeffs, e.den) for e in a.row_list(i)])) for i in range(a.rows)
+    )
+    return None if None in exponents else exponents
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_row_table(n: int) -> dict:
+    """{row r of the n-th DFT, as (coefficients, denominator) pairs: r}."""
+    roots = [(root_power(n, t).coeffs, 1) for t in range(n)]
+    return {tuple(roots[r * j % n] for j in range(n)): r for r in range(n)}
+
+
+@functools.lru_cache(maxsize=None)
+def _root_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, images) of w^t for t = 0..n-1: Python ints of shape
+    (n, phi), and the images under every map of the first prime, (phi, n)."""
+    p, w = _modular_maps(n, 0)
+    coeffs = np.array([root_power(n, t).coeffs for t in range(n)], dtype=object).reshape(n, -1)
+    images = _column_images(coeffs[:, None, :], p, w)[:, :, 0]
+    coeffs.flags.writeable = images.flags.writeable = False
+    return coeffs, images
+
+
+@functools.lru_cache(maxsize=8)
+def _affine_masks(n: int) -> np.ndarray:
+    """masks[c, g] = 2^(n-1-g(c)) over the affine maps g: c -> u c + t of
+    Z_n, the identity first.
+
+    Summed over a subset S, column g is the bit mask of g(S) with element 0
+    on the top bit, and of two subsets of one size the lex-smaller has the
+    larger mask: the first element where they differ is in it.
+    """
+    units = np.array([u for u in range(1, n + 1) if math.gcd(u, n) == 1], dtype=np.int64)
+    c = np.arange(n, dtype=np.int64)
+    image = (units[:, None, None] * c + c[:, None]) % n  # [u, t, c]
+    masks = np.left_shift(np.int64(1), n - 1 - image).reshape(-1, n).T.copy()
+    masks.flags.writeable = False
+    return masks
+
+
+def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
+    """Lex-min members of the affine orbits of size-k subsets of Z_n, in lex
+    order, as uint8 arrays; only those after ``after`` when it is given.
+
+    A depth-first walk over prefixes.  Deleting the largest element of a
+    lex-min member leaves a lex-min member (if g(S') precedes S' then g(S)
+    precedes S), so a prefix that is not lex-min ends its subtree.  The
+    children of a prefix are tested in one numpy step: each is lex-min
+    when no affine image has a larger mask.
+    """
+    masks = _affine_masks(n)
+
+    def below(prefix, mask, lo):
+        j = len(prefix)
+        sums = mask + masks[lo : n - k + j + 1]
+        least = np.flatnonzero(sums.max(axis=1) == sums[:, 0])
+        if j + 1 == k:
+            if len(least):
+                out = np.empty((len(least), k), dtype=np.uint8)
+                out[:, :j] = prefix
+                out[:, j] = lo + least
+                yield out
+            return
+        for c in least.tolist():
+            yield from below(prefix + (lo + c,), sums[c], lo + c + 1)
+
+    if k == 0:
+        if after is None:
+            yield np.empty((1, 0), dtype=np.uint8)
+        return
+    if after is None:
+        yield from below((), np.zeros(masks.shape[1], dtype=np.int64), 0)
+        return
+    for j in range(k - 1, -1, -1):
+        prefix = after[:j]
+        yield from below(prefix, masks[list(prefix)].sum(axis=0), after[j] + 1)
+
+
+# Representatives depend only on (N, k), so each (N, k) keeps the rows its
+# walks have reached, as uint8, and whether a walk ran to the end.  What
+# the walks hold while they run, and what the cache keeps, stays within
+# _ORBIT_CACHE_BYTES over all (N, k); a walk keeps what fits.
+_ORBIT_CACHE_BYTES = 1 << 23
+_orbit_cache: dict[tuple[int, int], tuple[np.ndarray, bool]] = {}
+_orbit_cache_bytes = 0
+
+
+def _orbit_representatives(n: int, k: int):
+    """_orbit_walk(n, k) as tuples: the rows kept for (n, k), then the walk
+    on from the last of them, kept in turn up to the bound."""
+    global _orbit_cache_bytes
+    rows, complete = _orbit_cache.get((n, k), (np.empty((0, k), dtype=np.uint8), False))
+    for i in range(0, len(rows), 1024):
+        yield from map(tuple, rows[i : i + 1024].tolist())
+    if complete:
+        return
+    kept, room = [rows], _ORBIT_CACHE_BYTES - _orbit_cache_bytes
+    try:
+        for chunk in _orbit_walk(n, k, tuple(rows[-1].tolist()) if len(rows) else None):
+            room -= sys.getsizeof(chunk)
+            if room >= 0:
+                kept.append(chunk)
+            yield from map(tuple, chunk.tolist())
+        complete = True
+    finally:
+        # Runs when the caller stops early too.  Another walk may have
+        # changed the cache meanwhile; a longer entry for (n, k) stays.
+        grown = np.concatenate(kept)
+        extra = grown.nbytes - _orbit_cache.get((n, k), (rows,))[0].nbytes
+        if 0 <= extra <= _ORBIT_CACHE_BYTES - _orbit_cache_bytes:
+            _orbit_cache_bytes += extra
+            _orbit_cache[n, k] = grown, complete and room >= 0
 
 
 def _dependent_by_norm(coeffs: np.ndarray, h2: int, order: int, p: int) -> bool:

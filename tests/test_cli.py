@@ -394,6 +394,37 @@ def test_matrix_files_reject_non_integer_entries(capsys, tmp_path):
             assert _one_line_error(code, out, err), (doc, err)
 
 
+def test_matrix_files_with_bad_shapes_or_entries_exit_two(capsys, tmp_path):
+    bad = [
+        {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [[True, 0]]},
+        {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [[1, False]]},
+        {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [["1", 0]]},
+        {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [[1, 0, 0]]},
+        {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [1]},
+        {"kind": "complex_float", "rows": -1, "cols": -2, "entries": [[1, 0], [2, 0]]},
+        {"kind": "integer", "rows": 1, "cols": 1, "entries": 5},
+        {"kind": "integer", "rows": -1, "cols": 2, "entries": [1, 2]},
+        {"kind": "integer", "rows": 2, "cols": -1, "entries": [1, 2]},
+        {"kind": "cyclotomic", "order": 5, "rows": 1, "cols": 1, "entries": {"0": [1]}},
+        {"kind": "cyclotomic", "order": 5, "rows": 1, "cols": 1, "entries": [3]},
+        {"kind": "cyclotomic", "order": 0, "rows": 1, "cols": 1, "entries": [[1]]},
+        {"kind": "cyclotomic", "order": -5, "rows": 1, "cols": 1, "entries": [[1]]},
+    ]
+    bad = [dict(doc, schema_version=1) for doc in bad]
+    bad.append({"schema_version": True, "kind": "integer", "rows": 1, "cols": 1, "entries": [1]})
+    for i, doc in enumerate(bad):
+        path = _write_json(tmp_path / f"bad{i}.json", doc)
+        code, out, err = _run(capsys, ["spark", "--matrix", path])
+        assert _one_line_error(code, out, err), (doc, err)
+        assert "has no len" not in err and "expected -" not in err, err
+    # A pair of JSON numbers, integer or not, is still an entry.
+    path = _write_json(tmp_path / "ok.json", {
+        "schema_version": 1, "kind": "complex_float", "rows": 1, "cols": 2,
+        "entries": [[1, 0], [0.5, 2]]})
+    code, doc, _ = _run(capsys, ["spark", "--matrix", path])
+    assert code == 0 and doc["spark"] == 2 and doc["mode"] == "numeric"
+
+
 def test_graph_files_with_missing_or_ill_typed_fields_exit_two(capsys, tmp_path):
     bipartite = [
         {"ground": 2, "adj": [[0], [0]]},

@@ -6,13 +6,18 @@ Hadamard bound H on every conjugate of every minor.  The first tests pin
 down that P <= H always takes another prime.  The differential test draws
 small integer and cyclotomic matrices and compares spark and is_full_spark
 with the rank_exact and det_exact sweeps, and the integer ones with sympy.
+A second one draws matrices one change away from DFT rows over all
+columns: each must miss the affine-orbit detection and agree with the
+same oracles.
 """
+
+import math
 
 import pytest
 
 from sparkforge import spark_engine
-from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi
-from sparkforge.exact_linalg import ExactMatrix
+from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi, root_power
+from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.spark_engine import _modular_maps, is_full_spark, spark
 
 from test_full_spark_engine import oracle as det_sweep
@@ -128,3 +133,76 @@ def test_certificates_match_exact_and_sympy_oracles(order, data):
             return rows.extract(list(range(a.rows)), list(cols)).rank() < len(cols)
 
         assert rank_sweep(a, dependent=dependent) == expected
+
+
+def _is_dft(a):
+    """Rows of the order-th DFT over all order columns, by ExactScalar equality."""
+    n = a.order
+    if a.is_integer() or a.cols != n:
+        return False
+    powers = [ExactScalar(root_power(n, t)) for t in range(n)]
+    return all(
+        any(a.row_list(i) == [powers[r * j % n] for j in range(n)] for r in range(n))
+        for i in range(a.rows)
+    )
+
+
+@st.composite
+def near_dft(draw, kind):
+    """DFT rows changed in one way: a swapped root, a scaled row, permuted
+    or missing columns, or entries of a smaller order over order columns."""
+    n = draw(st.integers(2, 8))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    if kind == "smaller order":
+        d = draw(st.sampled_from([d for d in range(2, n) if n % d == 0] or [1]))
+        return dft_submatrix(d, [r % d for r in rows], [j % d for j in range(n)]) if d > 1 else None
+    entries = [[ExactScalar(root_power(n, r * j)) for j in range(n)] for r in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "swapped root":
+        j = draw(st.integers(0, n - 1))
+        t = draw(st.integers(0, n - 1).filter(lambda t: t != rows[i] * j % n))
+        entries[i][j] = ExactScalar(root_power(n, t))
+    elif kind == "scaled row":
+        factor = draw(st.sampled_from([ExactScalar.from_int(n, 2), ExactScalar(CycInt.one(n), 2)]))
+        entries[i] = [e * factor for e in entries[i]]
+    elif kind == "permuted columns":
+        order = draw(st.permutations(range(n)))
+        entries = [[row[j] for j in order] for row in entries]
+    elif kind == "fewer columns":
+        keep = draw(st.integers(max(1, len(rows)), n - 1))
+        entries = [row[:keep] for row in entries]
+    return ExactMatrix.from_rows(entries)
+
+
+@pytest.mark.parametrize(
+    "kind", ["swapped root", "scaled row", "permuted columns", "fewer columns", "smaller order"]
+)
+@hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_near_dft_matrices_take_the_plain_sweep(kind, data):
+    a = data.draw(near_dft(kind))
+    hypothesis.assume(a is not None and not _is_dft(a))
+    assert spark_engine._dft_rows(a) is None
+    assert spark(a) == rank_sweep(a)
+    if a.cols >= a.rows:
+        assert is_full_spark(a) == det_sweep(a)
+
+
+def test_dft_rows_are_detected_and_sweep_fewer_subsets(monkeypatch):
+    a = dft_submatrix(13, (0, 1, 2, 3))
+    assert spark_engine._dft_rows(a) == (0, 1, 2, 3) and _is_dft(a)
+    stacked = []
+    eliminate = spark_engine._vanishing_mod_p
+
+    def counting(stack, p):
+        stacked.append(stack.shape[0] // euler_phi(13))
+        return eliminate(stack, p)
+
+    monkeypatch.setattr(spark_engine, "_vanishing_mod_p", counting)
+    cert = is_full_spark(a)
+    # 715 subsets fall into 7 affine orbits; the certificate counts them all.
+    assert cert.full_spark and cert.checked_subsets == math.comb(13, 4) == 715
+    assert sum(stacked) == 7
+    stacked.clear()
+    monkeypatch.setattr(spark_engine, "_dft_rows", lambda a: None)
+    assert is_full_spark(a) == cert and sum(stacked) == 715
