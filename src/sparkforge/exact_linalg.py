@@ -263,6 +263,5 @@ def dft_submatrix(order: int, rows, cols=None) -> ExactMatrix:
         raise IndexOutOfRange("row index out of residue range")
     if any(c < 0 or c >= order for c in cols):
         raise IndexOutOfRange("column index out of residue range")
-    roots = [ExactScalar(root_power(order, t)) for t in range(order)]
-    ents = [roots[m * n % order] for m in rows for n in cols]
+    ents = [ExactScalar(root_power(order, m * n)) for m in rows for n in cols]
     return ExactMatrix(len(rows), len(cols), ents, order)

@@ -322,17 +322,10 @@ def _block_search(a: ExactMatrix):
     the lex-first dependent subset overall, and the answer is the one the
     full lex sweep gives.
     """
+    coeffs = _integral_coeffs(a)
     p, w = _modular_maps(a.order, 0)
-    exponents = _dft_rows(a)
-    if exponents is None:
-        coeffs = _integral_coeffs(a)
-        images = _column_images(coeffs, p, w)
-    else:
-        # Entry (i, j) is w^(r_i j): coefficients and images are read from
-        # the order's table of roots.
-        roots, root_images = _root_table(a.order)
-        power = np.outer(range(a.cols), np.array(exponents, dtype=np.intp)) % a.order
-        coeffs, images = roots[power], root_images[:, power]
+    images = _column_images(coeffs, p, w)
+    exponents = _dft_rows(a, coeffs)
     phi, n, m = images.shape
     # sum_i L1(a_ij)^2 for each column j, computed at the first candidate
     # only, since most sweeps have none and entries may be large.
@@ -369,41 +362,32 @@ def _block_search(a: ExactMatrix):
 _MAX_ORBIT_ORDER = 63
 
 
-def _dft_rows(a: ExactMatrix) -> tuple[int, ...] | None:
+def _dft_rows(a: ExactMatrix, coeffs: np.ndarray) -> tuple[int, ...] | None:
     """The r_i when entry (i, j) of a is exactly w^(r_i j) for every j in
     0..N-1, with cols = order = N (rows of the N-th DFT over all columns);
     None otherwise.
 
-    Entries are compared exactly, on their power-basis coefficients and
-    denominator 1, so any other matrix (another root anywhere, a scaled
-    row, columns missing or out of that order) takes the plain sweep.
+    coeffs is _integral_coeffs(a).  Each row is compared exactly with the
+    rows of the N-th DFT on its integer coefficients, and its entries must
+    have denominator 1, since _integral_coeffs clears denominators.  Any
+    other matrix (another root anywhere, a scaled row, columns missing or
+    out of that order) takes the plain sweep.
     """
     n = a.cols
     if a.is_integer() or a.order != n or n > _MAX_ORBIT_ORDER:
         return None
+    if any(e.den != 1 for e in a.entries):
+        return None
     table = _dft_row_table(n)
-    exponents = tuple(
-        table.get(tuple([(e.num.coeffs, e.den) for e in a.row_list(i)])) for i in range(a.rows)
-    )
+    exponents = tuple(table.get(tuple(coeffs[:, i].ravel().tolist())) for i in range(a.rows))
     return None if None in exponents else exponents
 
 
 @functools.lru_cache(maxsize=None)
 def _dft_row_table(n: int) -> dict:
-    """{row r of the n-th DFT, as (coefficients, denominator) pairs: r}."""
-    roots = [(root_power(n, t).coeffs, 1) for t in range(n)]
-    return {tuple(roots[r * j % n] for j in range(n)): r for r in range(n)}
-
-
-@functools.lru_cache(maxsize=None)
-def _root_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficients, images) of w^t for t = 0..n-1: Python ints of shape
-    (n, phi), and the images under every map of the first prime, (phi, n)."""
-    p, w = _modular_maps(n, 0)
-    coeffs = np.array([root_power(n, t).coeffs for t in range(n)], dtype=object).reshape(n, -1)
-    images = _column_images(coeffs[:, None, :], p, w)[:, :, 0]
-    coeffs.flags.writeable = images.flags.writeable = False
-    return coeffs, images
+    """{row r of the n-th DFT, as its power-basis coefficients column by column: r}."""
+    roots = [root_power(n, t).coeffs for t in range(n)]
+    return {tuple(c for j in range(n) for c in roots[r * j % n]): r for r in range(n)}
 
 
 @functools.lru_cache(maxsize=8)
@@ -464,7 +448,9 @@ def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
 # Representatives depend only on (N, k), so each (N, k) keeps the rows its
 # walks have reached, as uint8, and whether a walk ran to the end.  What
 # the walks hold while they run, and what the cache keeps, stays within
-# _ORBIT_CACHE_BYTES over all (N, k); a walk keeps what fits.
+# _ORBIT_CACHE_BYTES over all (N, k); a walk keeps what fits.  Entries are
+# first come and never evicted, so once the bound is reached a (N, k) not
+# yet kept is walked from the start on every call.
 _ORBIT_CACHE_BYTES = 1 << 23
 _orbit_cache: dict[tuple[int, int], tuple[np.ndarray, bool]] = {}
 _orbit_cache_bytes = 0

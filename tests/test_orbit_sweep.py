@@ -156,7 +156,7 @@ def _row_orbits(order):
 
 def _plain(call, a, budget):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spark_engine, "_dft_rows", lambda a: None)
+        mp.setattr(spark_engine, "_dft_rows", lambda a, coeffs: None)
         return _outcome(lambda: call(a, budget))
 
 
