@@ -33,6 +33,12 @@ SCHEMA_VERSION = 1
 
 BUDGET_ENV = "SPARKFORGE_BUDGET"
 
+# Largest cyclotomic order taken from a matrix file or an option.  Exact
+# arithmetic in Z[w] keeps a reduction table of about order * phi(order)
+# integers, which stays within tens of MiB up to here and grows as the
+# square of the order past it.
+MAX_ORDER = 2048
+
 
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
@@ -96,6 +102,13 @@ def _json_count(value, what: str) -> int:
     return value
 
 
+def _order(value) -> int:
+    order = _json_int(value, "order")
+    if not 1 <= order <= MAX_ORDER:
+        raise UsageError(f"order must lie in 1..{MAX_ORDER}, got {order}")
+    return order
+
+
 def matrix_from_json(doc: dict):
     """Parse a matrix document into an ExactMatrix or a complex array."""
     if not isinstance(doc, dict):
@@ -108,13 +121,11 @@ def matrix_from_json(doc: dict):
         rows = _json_count(doc["rows"], "rows")
         cols = _json_count(doc["cols"], "cols")
         entries = doc["entries"]
-        order = _json_int(doc["order"], "order") if kind == "cyclotomic" else 1
+        order = _order(doc["order"]) if kind == "cyclotomic" else 1
     except KeyError as exc:
         raise UsageError(f"matrix file missing field {exc}") from exc
     if not isinstance(entries, list):
         raise UsageError(f"entries must be a JSON list, got {entries!r}")
-    if order < 1:
-        raise UsageError("order must be positive")
     if len(entries) != rows * cols:
         raise UsageError(f"expected {rows * cols} entries, got {len(entries)}")
     if kind == "integer":
@@ -136,7 +147,10 @@ def matrix_from_json(doc: dict):
             if not (isinstance(e, list) and len(e) == 2
                     and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e)):
                 raise UsageError(f"complex entry must be a [real, imag] pair of numbers, got {e!r}")
-        data = [complex(re, im) for re, im in entries]
+        try:
+            data = [complex(re, im) for re, im in entries]
+        except OverflowError as exc:
+            raise UsageError(f"complex entry out of float range: {exc}") from exc
         return np.array(data, dtype=complex).reshape(rows, cols)
     raise UsageError(f"unknown matrix kind {kind!r}")
 
@@ -149,7 +163,7 @@ def _read_json(path: str):
             text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -161,412 +175,295 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _rows_from_args(args) -> list[int]:
-    if getattr(args, "rows_file", None):
-        path = args.rows_file
-        if path.endswith(".json"):
-            data = _read_json(path)
+    if args.rows_file:
+        if args.rows_file.endswith(".json"):
+            data = _read_json(args.rows_file)
             if not isinstance(data, list):
                 raise UsageError("rows file must hold a JSON list")
             return [_json_int(x, "row") for x in data]
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.rows_file, "r", encoding="utf-8") as fh:
             return _parse_int_list(fh.read())
-    if getattr(args, "rows", None) is not None:
+    if args.rows is not None:
         return _parse_int_list(args.rows)
     raise UsageError("need --rows or --rows-file")
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+def _index_set(order: int, args) -> dft_analysis.IndexSet:
+    return dft_analysis.IndexSet.from_iterable(order, _rows_from_args(args))
 
 
-def _load_matrix_arg(args):
+def _load_matrix(args):
     return matrix_from_json(_read_json(args.matrix))
 
 
-def _cmd_construct(args) -> int:
-    kinds = [
-        name
-        for name, flag in (
-            ("vandermonde", args.vandermonde),
-            ("harmonic", args.harmonic),
-            ("harmonic_identity", args.harmonic_identity),
-            ("optimal", args.optimal),
-            ("parseval", args.parseval),
-        )
-        if flag
-    ]
-    if len(kinds) != 1:
-        raise UsageError(
-            "pick exactly one of --vandermonde --harmonic --harmonic-identity "
-            "--optimal --parseval"
-        )
-    kind = kinds[0]
-    if kind == "vandermonde":
-        if args.bases is None or args.m is None:
-            raise UsageError("--vandermonde needs --bases and --m")
-        frame = constructions.vandermonde(_parse_int_list(args.bases), args.m)
-    elif kind == "harmonic":
-        if args.n is None:
-            raise UsageError("--harmonic needs --n")
-        frame = constructions.harmonic(
-            args.n, _construct_rows(args), normalize=args.normalize
-        )
-    elif kind == "harmonic_identity":
-        if args.n is None or args.k is None:
-            raise UsageError("--harmonic-identity needs --n and --k")
-        frame = constructions.harmonic_identity(args.n, _construct_rows(args), args.k)
-    elif kind == "optimal":
-        if args.n is None or args.m is None:
-            raise UsageError("--optimal needs --n and --m")
-        frame = constructions.optimal_vandermonde(args.n, args.m, normalize=args.normalize)
-    else:
-        if args.matrix is None:
-            raise UsageError("--parseval needs --matrix (path or - for stdin)")
-        loaded = _load_matrix_arg(args)
-        if isinstance(loaded, ExactMatrix):
-            loaded = np.array(loaded.to_complex_rows(), dtype=complex)
-        frame = constructions.parseval_projection(loaded)
-
-    if args.exact:
-        if frame.exact_shadow is None:
-            raise UsageError("this construction has no exact shadow")
-        _emit(matrix_to_json(frame.exact_shadow))
-    else:
-        _emit(matrix_to_json(frame))
-    return 0
+def _complex(matrix):
+    """A loaded matrix as a complex array."""
+    if isinstance(matrix, ExactMatrix):
+        return np.array(matrix.to_complex_rows(), dtype=complex)
+    return matrix
 
 
 def _construct_rows(args) -> list[int]:
+    # Only the harmonic kinds take rows, and both need --n.
     if args.rows_qr:
-        if args.n is None:
-            raise UsageError("--rows-qr needs --n")
         return list(constructions.quadratic_residue_rows(args.n))
     return _rows_from_args(args)
 
 
+# construct kind -> (options it needs, builder); each kind is also a flag.
+FRAMES = {
+    "vandermonde": (
+        ("bases", "m"), lambda a: constructions.vandermonde(_parse_int_list(a.bases), a.m)
+    ),
+    "harmonic": (
+        ("n",),
+        lambda a: constructions.harmonic(_order(a.n), _construct_rows(a), normalize=a.normalize),
+    ),
+    "harmonic-identity": (
+        ("n", "k"),
+        lambda a: constructions.harmonic_identity(_order(a.n), _construct_rows(a), a.k),
+    ),
+    "optimal": (
+        ("n", "m"),
+        lambda a: constructions.optimal_vandermonde(_order(a.n), a.m, normalize=a.normalize),
+    ),
+    "parseval": (
+        ("matrix",), lambda a: constructions.parseval_projection(_complex(_load_matrix(a)))
+    ),
+}
+
+
+def _cmd_construct(args):
+    kinds = [kind for kind in FRAMES if getattr(args, kind.replace("-", "_"))]
+    if len(kinds) != 1:
+        raise UsageError("pick exactly one of " + " ".join(f"--{kind}" for kind in FRAMES))
+    needs, build = FRAMES[kinds[0]]
+    if any(getattr(args, name) is None for name in needs):
+        raise UsageError(f"--{kinds[0]} needs " + " and ".join(f"--{name}" for name in needs))
+    frame = build(args)
+    if args.exact:
+        if frame.exact_shadow is None:
+            raise UsageError("this construction has no exact shadow")
+        frame = frame.exact_shadow
+    return matrix_to_json(frame), 0
+
+
 def _matrix_for_spark(args):
     if args.dft is not None:
-        rows = _rows_from_args(args)
-        dft_analysis.IndexSet.from_iterable(args.dft, rows)  # rejects repeated rows
+        order = _order(args.dft)
+        rows = _index_set(order, args)
         cols = _parse_int_list(args.cols) if args.cols else None
-        return dft_submatrix(args.dft, rows, cols)
+        return dft_submatrix(order, rows, cols)
     if args.matrix is None:
         raise UsageError("need --matrix (path or - for stdin) or --dft")
-    return _load_matrix_arg(args)
+    return _load_matrix(args)
 
 
-def _cmd_spark(args) -> int:
+def _cmd_spark(args):
     target = _matrix_for_spark(args)
     if isinstance(target, ExactMatrix):
-        cert = spark(target, budget=args.budget)
-    else:
-        cert = numeric_spark_probe(target, tol=args.tol, budget=args.budget)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "spark"}
-    doc.update(cert.as_dict())
-    _emit(doc)
-    return 0
+        return spark(target, budget=args.budget).as_dict(), 0
+    return numeric_spark_probe(target, tol=args.tol, budget=args.budget).as_dict(), 0
 
 
-def _cmd_full_spark(args) -> int:
+def _cmd_full_spark(args):
     target = _matrix_for_spark(args)
     if not isinstance(target, ExactMatrix):
-        raise UsageError(
-            "full-spark certifies exact matrices only; use spark --tol for floats"
-        )
+        raise UsageError("full-spark certifies exact matrices only; use spark --tol for floats")
     cert = is_full_spark(target, budget=args.budget, threads=args.threads)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "full-spark"}
-    doc.update(cert.as_dict())
-    _emit(doc)
-    return 0 if cert.full_spark else 1
+    return cert.as_dict(), 0 if cert.full_spark else 1
 
 
-def _cmd_dft_analyze(args) -> int:
-    index_set = dft_analysis.IndexSet.from_iterable(args.n, _rows_from_args(args))
+def _cmd_dft_analyze(args):
+    index_set = _index_set(args.n, args)
     result = dft_analysis.is_uniformly_distributed(index_set)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "dft-analyze",
-        "n": args.n,
-        "rows": list(index_set),
-        "uniform": result.uniform,
-        "violations": [
-            {
-                "divisor": rep.divisor,
-                "coset_counts": list(rep.coset_counts),
-                "lo": rep.lo,
-                "hi": rep.hi,
-            }
-            for rep in result.violations
-        ],
-    }
     try:
-        verdict = dft_analysis.full_spark_prime_power(index_set)
-        doc["prime_power"] = True
-        doc["full_spark"] = verdict.full_spark
+        prime_power, full = True, dft_analysis.full_spark_prime_power(index_set).full_spark
     except SparkforgeError:
-        doc["prime_power"] = False
-        doc["full_spark"] = None
-    _emit(doc)
-    return 0 if result.uniform else 1
+        prime_power, full = False, None
+    violations = [
+        {"divisor": rep.divisor, "coset_counts": list(rep.coset_counts), "lo": rep.lo, "hi": rep.hi}
+        for rep in result.violations
+    ]
+    doc = {"n": args.n, "rows": list(index_set), "uniform": result.uniform,
+           "violations": violations, "prime_power": prime_power, "full_spark": full}
+    return doc, 0 if result.uniform else 1
 
 
-def _cmd_orbit(args) -> int:
-    index_set = dft_analysis.IndexSet.from_iterable(args.n, _rows_from_args(args))
-    orbit = dft_analysis.closure_orbit(index_set, cap=args.cap)
-    members = sorted(list(s) for s in orbit)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "orbit",
-            "n": args.n,
-            "seed_rows": list(index_set),
-            "size": len(members),
-            "orbit": members,
-        }
-    )
-    return 0
+def _cmd_orbit(args):
+    index_set = _index_set(args.n, args)
+    members = sorted(list(s) for s in dft_analysis.closure_orbit(index_set, cap=args.cap))
+    return {"n": args.n, "seed_rows": list(index_set), "size": len(members), "orbit": members}, 0
 
 
-def _cmd_rip_check(args) -> int:
-    index_set = dft_analysis.IndexSet.from_iterable(args.n, _rows_from_args(args))
+def _cmd_rip_check(args):
+    index_set = _index_set(args.n, args)
     result = dft_analysis.rip_necessary_check(index_set, args.k, args.delta)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "rip-check",
-            "n": args.n,
-            "rows": list(index_set),
-            "k": args.k,
-            "delta": args.delta,
-            "pass": result.passes,
-            "violations": [list(v) for v in result.violations],
-        }
-    )
-    return 0 if result.passes else 1
+    doc = {"n": args.n, "rows": list(index_set), "k": args.k, "delta": args.delta,
+           "pass": result.passes, "violations": [list(v) for v in result.violations]}
+    return doc, 0 if result.passes else 1
 
 
-def _cmd_coherence(args) -> int:
-    loaded = _load_matrix_arg(args)
-    if isinstance(loaded, ExactMatrix):
-        loaded = np.array(loaded.to_complex_rows(), dtype=complex)
-    result = constructions.coherence(loaded)
-    m, n = loaded.shape
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "coherence",
-            "rows": int(m),
-            "cols": int(n),
-            "mu": result.mu,
-            "pair": list(result.pair),
-            "welch_bound_sq": constructions.welch_bound_sq(m, n),
-        }
-    )
-    return 0
+def _cmd_coherence(args):
+    matrix = _complex(_load_matrix(args))
+    result = constructions.coherence(matrix)
+    m, n = matrix.shape
+    return {"rows": int(m), "cols": int(n), "mu": result.mu, "pair": list(result.pair),
+            "welch_bound_sq": constructions.welch_bound_sq(m, n)}, 0
 
 
-def _cmd_matroid_girth(args) -> int:
+def _cmd_matroid_girth(args):
     graph = matroid.BipartiteGraph.from_dict(_read_json(args.graph))
     if args.method == "hall":
-        result = matroid.hall_girth(graph, budget=args.budget)
-    else:
-        result = matroid.girth_via_representation(
-            graph, trials=args.trials, rng_seed=args.seed, budget=args.budget
-        )
-    doc = {"schema_version": SCHEMA_VERSION, "command": "matroid-girth"}
-    doc.update(result.as_dict())
-    _emit(doc)
-    return 0
+        return matroid.hall_girth(graph, budget=args.budget).as_dict(), 0
+    result = matroid.girth_via_representation(
+        graph, trials=args.trials, rng_seed=args.seed, budget=args.budget
+    )
+    return result.as_dict(), 0
 
 
-def _cmd_clique_gadget(args) -> int:
+def _cmd_clique_gadget(args):
     graph = matroid.SimpleGraph.from_dict(_read_json(args.graph))
     gadget = matroid.clique_gadget(graph, args.k)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "clique-gadget"}
-    doc.update(gadget.to_dict())
-    doc["edge_order"] = [list(e) for e in graph.edges]
-    doc["target_girth"] = math.comb(args.k, 2)
+    doc = dict(gadget.to_dict(), edge_order=[list(e) for e in graph.edges],
+               target_girth=math.comb(args.k, 2))
     if args.girth:
         doc["girth"] = matroid.hall_girth(gadget, budget=args.budget).as_dict()
-    _emit(doc)
-    return 0
+    return doc, 0
 
 
-def _cmd_probe(args) -> int:
-    target = _load_matrix_arg(args)
+def _cmd_probe(args):
+    target = _load_matrix(args)
     if not isinstance(target, ExactMatrix) or not target.is_integer():
         raise UsageError("probe needs an integer matrix file")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = compressed_spark_probe(
-            target,
-            args.k,
-            trials=args.trials,
-            rng_seed=args.seed,
-            p_cap=args.p_cap,
-            allow_cap=not args.no_cap,
-            budget=args.budget,
+            target, args.k, trials=args.trials, rng_seed=args.seed, p_cap=args.p_cap,
+            allow_cap=not args.no_cap, budget=args.budget,
         )
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "probe"}
-    doc.update(result.as_dict())
-    doc["witness"] = None
-    doc["corroborated"] = False
+    doc = dict(result.as_dict(), witness=None, corroborated=False)
     if not result.exceeds_k and args.corroborate:
         cert = spark(target, budget=args.budget)
         if cert.spark <= args.k:
-            doc["witness"] = list(cert.witness) if cert.witness else None
-            doc["spark"] = cert.spark
-            doc["corroborated"] = True
-    _emit(doc)
-    return 0 if result.exceeds_k else 1
+            doc.update(witness=list(cert.witness) if cert.witness else None,
+                       spark=cert.spark, corroborated=True)
+    return doc, 0 if result.exceeds_k else 1
 
 
-def _add_rows_opts(sub) -> None:
-    sub.add_argument("--rows", help="comma separated residues, e.g. 0,1,4")
-    sub.add_argument("--rows-file", help="file of residues (JSON list or separated)")
+# Options shared by several subcommands, as (flag, add_argument keywords).
+_FLAG = {"action": "store_true"}
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_ROWS = [("--rows", {"help": "comma separated residues, e.g. 0,1,4"}),
+         ("--rows-file", {"help": "file of residues (JSON list or separated)"})]
+_MATRIX_OR_DFT = [("--matrix", {"help": "matrix file (- for stdin)"}),
+                  ("--dft", {"type": int, "help": "build DFT rows of this order instead"}),
+                  ("--cols", {"help": "column restriction for --dft"})]
+_TRIALS_SEED = [("--trials", {"type": int, "default": 10}), ("--seed", {"type": int, "default": 0})]
+_BUDGET = ("--budget", {"type": int,
+                        "help": f"subset budget (default {DEFAULT_BUDGET}, or ${BUDGET_ENV})"})
+
+# name -> (help, handler, options).  A handler returns (document, exit code);
+# run() wraps the document in the schema_version/command envelope.
+COMMANDS = {
+    "construct": ("build a frame and print its matrix file", _cmd_construct, [
+        *((f"--{kind}", _FLAG) for kind in FRAMES),
+        ("--n", _INT), ("--m", _INT), ("--k", _INT),
+        ("--bases", {"help": "comma separated integer bases"}),
+        ("--normalize", _FLAG),
+        ("--rows-qr", dict(_FLAG, help="use quadratic residue rows")),
+        ("--exact", dict(_FLAG, help="emit the exact shadow")),
+        ("--matrix", {"help": "input matrix file for --parseval (- for stdin)"}),
+        *_ROWS,
+    ]),
+    "spark": ("spark certificate of a matrix", _cmd_spark, [
+        *_MATRIX_OR_DFT,
+        ("--tol", {"type": float, "default": 1e-10, "help": "numeric rank threshold"}),
+        *_ROWS, _BUDGET,
+    ]),
+    "full-spark": ("certify every maximal minor invertible", _cmd_full_spark, [
+        *_MATRIX_OR_DFT,
+        ("--threads", {"type": int, "default": 1,
+                       "help": "accepted for compatibility; the sweep runs in one process"}),
+        *_ROWS, _BUDGET,
+    ]),
+    "dft-analyze": ("coset uniformity of DFT row sets", _cmd_dft_analyze, [
+        ("--n", _REQUIRED_INT), *_ROWS,
+    ]),
+    "orbit": ("closure orbit of a row set", _cmd_orbit, [
+        ("--n", _REQUIRED_INT), ("--cap", {"type": int, "default": dft_analysis.ORBIT_CAP}), *_ROWS,
+    ]),
+    "rip-check": ("coset balance necessary condition", _cmd_rip_check, [
+        ("--n", _REQUIRED_INT), ("--k", _REQUIRED_INT),
+        ("--delta", {"type": float, "required": True}), *_ROWS,
+    ]),
+    "coherence": ("worst column pair correlation", _cmd_coherence, [
+        ("--matrix", {"default": "-", "help": "matrix file (default stdin)"}),
+    ]),
+    "matroid-girth": ("transversal matroid girth", _cmd_matroid_girth, [
+        ("--graph", {"default": "-", "help": "bipartite graph JSON (default stdin)"}),
+        ("--method", {"choices": ["hall", "representation"], "default": "hall"}),
+        *_TRIALS_SEED, _BUDGET,
+    ]),
+    "clique-gadget": ("bipartite gadget for clique detection", _cmd_clique_gadget, [
+        ("--graph", {"default": "-", "help": "simple graph JSON (default stdin)"}),
+        ("--k", _REQUIRED_INT),
+        ("--girth", dict(_FLAG, help="also compute the gadget girth")),
+        _BUDGET,
+    ]),
+    "probe": ("randomized compressed spark probe", _cmd_probe, [
+        ("--matrix", {"default": "-", "help": "integer matrix file (default stdin)"}),
+        ("--k", _REQUIRED_INT), *_TRIALS_SEED,
+        ("--p-cap", {"type": int, "default": 10**6}),
+        ("--no-cap", dict(_FLAG, help="error instead of capping")),
+        ("--no-corroborate", {"dest": "corroborate", "action": "store_false",
+                              "help": "skip the exact spark run after a negative probe"}),
+        _BUDGET,
+    ]),
+}
 
 
-def _add_budget_opt(sub) -> None:
-    sub.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"subset budget (default {DEFAULT_BUDGET}, or ${BUDGET_ENV})",
-    )
+class _Parser(argparse.ArgumentParser):
+    # A parse error takes the same one-line path as every other usage error.
+    def error(self, message):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparkforge",
         description="Exact spark certificates, frame constructions, matroid girth.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a frame and print its matrix file")
-    p.add_argument("--vandermonde", action="store_true")
-    p.add_argument("--harmonic", action="store_true")
-    p.add_argument("--harmonic-identity", action="store_true")
-    p.add_argument("--optimal", action="store_true")
-    p.add_argument("--parseval", action="store_true")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--bases", help="comma separated integer bases")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--rows-qr", action="store_true", help="use quadratic residue rows")
-    p.add_argument("--exact", action="store_true", help="emit the exact shadow")
-    p.add_argument("--matrix", help="input matrix file for --parseval (- for stdin)")
-    _add_rows_opts(p)
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("spark", help="spark certificate of a matrix")
-    p.add_argument("--matrix", help="matrix file (- for stdin)")
-    p.add_argument("--dft", type=int, help="build DFT rows of this order instead")
-    p.add_argument("--cols", help="column restriction for --dft")
-    p.add_argument("--tol", type=float, default=1e-10, help="numeric rank threshold")
-    _add_rows_opts(p)
-    _add_budget_opt(p)
-    p.set_defaults(func=_cmd_spark)
-
-    p = sub.add_parser("full-spark", help="certify every maximal minor invertible")
-    p.add_argument("--matrix", help="matrix file (- for stdin)")
-    p.add_argument("--dft", type=int)
-    p.add_argument("--cols", help="column restriction for --dft")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; the sweep runs in one process",
-    )
-    _add_rows_opts(p)
-    _add_budget_opt(p)
-    p.set_defaults(func=_cmd_full_spark)
-
-    p = sub.add_parser("dft-analyze", help="coset uniformity of DFT row sets")
-    p.add_argument("--n", type=int, required=True)
-    _add_rows_opts(p)
-    p.set_defaults(func=_cmd_dft_analyze)
-
-    p = sub.add_parser("orbit", help="closure orbit of a row set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=dft_analysis.ORBIT_CAP)
-    _add_rows_opts(p)
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("rip-check", help="coset balance necessary condition")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    _add_rows_opts(p)
-    p.set_defaults(func=_cmd_rip_check)
-
-    p = sub.add_parser("coherence", help="worst column pair correlation")
-    p.add_argument("--matrix", default="-", help="matrix file (default stdin)")
-    p.set_defaults(func=_cmd_coherence)
-
-    p = sub.add_parser("matroid-girth", help="transversal matroid girth")
-    p.add_argument("--graph", default="-", help="bipartite graph JSON (default stdin)")
-    p.add_argument("--method", choices=["hall", "representation"], default="hall")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    _add_budget_opt(p)
-    p.set_defaults(func=_cmd_matroid_girth)
-
-    p = sub.add_parser("clique-gadget", help="bipartite gadget for clique detection")
-    p.add_argument("--graph", default="-", help="simple graph JSON (default stdin)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--girth", action="store_true", help="also compute the gadget girth")
-    _add_budget_opt(p)
-    p.set_defaults(func=_cmd_clique_gadget)
-
-    p = sub.add_parser("probe", help="randomized compressed spark probe")
-    p.add_argument("--matrix", default="-", help="integer matrix file (default stdin)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p-cap", type=int, default=10**6)
-    p.add_argument("--no-cap", action="store_true", help="error instead of capping")
-    p.add_argument(
-        "--no-corroborate",
-        dest="corroborate",
-        action="store_false",
-        help="skip the exact spark run after a negative probe",
-    )
-    _add_budget_opt(p)
-    p.set_defaults(func=_cmd_probe)
-
+    for name, (help_text, _, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "budget", 0) is None:
             args.budget = _default_budget()
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        return args.func(args)
+        doc, code = COMMANDS[args.command][1](args)
+        if args.command != "construct":  # construct prints a bare matrix file
+            doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
+        print(json.dumps(doc, indent=2))
+        return code
+    except SystemExit as exc:  # only --help exits; parse errors raise UsageError
+        return int(exc.code or 0)
     except (BudgetExceeded, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SparkforgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
+    except (UsageError, OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -194,8 +194,9 @@ def rip_necessary_check(m: IndexSet, k: int, delta: float) -> RipCheckResult:
     """Coset balance test implied by a (k, delta) restricted isometry.
 
     For each divisor d <= k, every residue class modulo d must hold within
-    (|M|/d) * delta of the average |M|/d members.  Comparisons are done on
-    integers scaled by d, so only the single product |M| * delta is float.
+    (|M|/d) * delta of the average |M|/d members, for a finite delta >= 0.
+    Comparisons are done on integers scaled by d, so only the single
+    product |M| * delta is float.
     Violations are reported as (divisor, residue, count); an empty list
     means this necessary condition cannot rule the property out.
     """
@@ -203,8 +204,8 @@ def rip_necessary_check(m: IndexSet, k: int, delta: float) -> RipCheckResult:
         raise DegenerateSet("empty index set")
     if k < 1:
         raise ValueError("k must be positive")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and non-negative, got {delta}")
     size = len(m.members)
     violations = []
     for d in divisors(m.order):

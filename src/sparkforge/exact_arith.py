@@ -244,9 +244,6 @@ class CycInt:
             e >>= 1
         return result
 
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
     def to_complex(self) -> complex:
         w = cmath.exp(-2j * cmath.pi / self.order)
         total = 0j

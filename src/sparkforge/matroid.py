@@ -39,6 +39,13 @@ def _field(data, key: str):
     return data[key]
 
 
+def _graph_list(value) -> list:
+    # A dict or string would iterate as keys or characters, or as nothing.
+    if not isinstance(value, (list, tuple)):
+        raise ShapeError(f"graph lists must be JSON lists, got {value!r}")
+    return value
+
+
 def _graph_int(value) -> int:
     # bool is an int subclass, and int() would truncate floats silently.
     if isinstance(value, bool) or not isinstance(value, int):
@@ -71,7 +78,10 @@ class BipartiteGraph:
         return cls(
             ground_size=_graph_int(_field(data, "ground")),
             right_size=_graph_int(_field(data, "right")),
-            adj=tuple(tuple(_graph_int(v) for v in nbrs) for nbrs in _field(data, "adj")),
+            adj=tuple(
+                tuple(_graph_int(v) for v in _graph_list(nbrs))
+                for nbrs in _graph_list(_field(data, "adj"))
+            ),
         )
 
     def to_dict(self) -> dict:
@@ -105,7 +115,9 @@ class SimpleGraph:
     def from_dict(cls, data: dict) -> "SimpleGraph":
         return cls(
             vertices=_graph_int(_field(data, "vertices")),
-            edges=tuple((_graph_int(a), _graph_int(b)) for a, b in _field(data, "edges")),
+            edges=tuple(
+                (_graph_int(a), _graph_int(b)) for a, b in _graph_list(_field(data, "edges"))
+            ),
         )
 
     def to_dict(self) -> dict:

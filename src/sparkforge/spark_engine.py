@@ -35,7 +35,6 @@ import functools
 import itertools
 import math
 import random
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -446,11 +445,13 @@ def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
 
 
 # Representatives depend only on (N, k), so each (N, k) keeps the rows its
-# walks have reached, as uint8, and whether a walk ran to the end.  What
-# the walks hold while they run, and what the cache keeps, stays within
-# _ORBIT_CACHE_BYTES over all (N, k); a walk keeps what fits.  Entries are
-# first come and never evicted, so once the bound is reached a (N, k) not
-# yet kept is walked from the start on every call.
+# walks have reached, as uint8, and whether a walk ran to the end.  The row
+# bytes the walks hold while they run, and those the cache keeps, stay
+# within _ORBIT_CACHE_BYTES over all (N, k); a walk keeps what fits.  A walk
+# yields many small arrays, so it joins each 1024 it holds into one, which
+# keeps their headers a small share of what it holds.  Entries are first come
+# and never evicted, so once the bound is reached a (N, k) not yet kept is
+# walked from the start on every call.
 _ORBIT_CACHE_BYTES = 1 << 23
 _orbit_cache: dict[tuple[int, int], tuple[np.ndarray, bool]] = {}
 _orbit_cache_bytes = 0
@@ -465,18 +466,21 @@ def _orbit_representatives(n: int, k: int):
         yield from map(tuple, rows[i : i + 1024].tolist())
     if complete:
         return
-    kept, room = [rows], _ORBIT_CACHE_BYTES - _orbit_cache_bytes
+    kept, held, room = [rows], [], _ORBIT_CACHE_BYTES - _orbit_cache_bytes
     try:
         for chunk in _orbit_walk(n, k, tuple(rows[-1].tolist()) if len(rows) else None):
-            room -= sys.getsizeof(chunk)
+            room -= chunk.nbytes
             if room >= 0:
-                kept.append(chunk)
+                held.append(chunk)
+                if len(held) == 1024:
+                    kept.append(np.concatenate(held))
+                    held = []
             yield from map(tuple, chunk.tolist())
         complete = True
     finally:
         # Runs when the caller stops early too.  Another walk may have
         # changed the cache meanwhile; a longer entry for (n, k) stays.
-        grown = np.concatenate(kept)
+        grown = np.concatenate(kept + held)
         extra = grown.nbytes - _orbit_cache.get((n, k), (rows,))[0].nbytes
         if 0 <= extra <= _ORBIT_CACHE_BYTES - _orbit_cache_bytes:
             _orbit_cache_bytes += extra
@@ -541,10 +545,12 @@ def numeric_spark_probe(
     """Floating-point spark estimate via singular value rank decisions.
 
     A column subset counts as dependent when its smallest singular value is
-    at most tol * largest * max(shape).  Same sweep order and sentinel
-    conventions as the exact engine; the certificate is advisory, not a
-    proof.
+    at most tol * largest * max(shape), for a finite tol >= 0.  Same sweep
+    order and sentinel conventions as the exact engine; the certificate is
+    advisory, not a proof.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     arr = np.asarray(getattr(f, "matrix", f), dtype=complex)
     if arr.ndim != 2:
         raise ShapeError("expected a 2-d array")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparkforge import cli, constructions
+from sparkforge import cli, constructions, exact_arith
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 
 from test_dft_analysis import SINGER_121
@@ -294,10 +294,26 @@ def test_budget_env_is_honoured(capsys, monkeypatch):
 
 
 def test_usage_errors_exit_two(capsys):
-    assert _run(capsys, ["spark"])[0] == 2
-    assert _run(capsys, ["full-spark", "--dft", "5"])[0] == 2
-    assert _run(capsys, ["no-such-command"])[0] == 2
-    assert _run(capsys, [])[0] == 2
+    # Parse errors take the one-line path too, with no usage text.
+    for argv in (
+        ["spark"],
+        ["full-spark", "--dft", "5"],
+        ["no-such-command"],
+        [],
+        ["spark", "--budget", "abc"],
+        ["rip-check", "--n", "8", "--rows", "0,1", "--k", "2"],
+        ["matroid-girth", "--method", "bogus"],
+    ):
+        code, doc, err = _run(capsys, argv)
+        assert _one_line_error(code, doc, err), (argv, err)
+        assert "usage:" not in err
+    assert "--delta" in _run(capsys, ["rip-check", "--n", "8", "--rows", "0", "--k", "1"])[2]
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["probe", "--help"]):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: sparkforge")
 
 
 def test_missing_matrix_file_exits_two(capsys):
@@ -400,6 +416,7 @@ def test_matrix_files_with_bad_shapes_or_entries_exit_two(capsys, tmp_path):
         {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [[1, False]]},
         {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [["1", 0]]},
         {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [[1, 0, 0]]},
+        {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [[10**400, 0]]},
         {"kind": "complex_float", "rows": 1, "cols": 1, "entries": [1]},
         {"kind": "complex_float", "rows": -1, "cols": -2, "entries": [[1, 0], [2, 0]]},
         {"kind": "integer", "rows": 1, "cols": 1, "entries": 5},
@@ -417,6 +434,12 @@ def test_matrix_files_with_bad_shapes_or_entries_exit_two(capsys, tmp_path):
         code, out, err = _run(capsys, ["spark", "--matrix", path])
         assert _one_line_error(code, out, err), (doc, err)
         assert "has no len" not in err and "expected -" not in err, err
+    # Nesting deeper than the JSON decoder's recursion limit is malformed too.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for argv in (["spark", "--matrix", str(deep)],
+                 ["dft-analyze", "--n", "7", "--rows-file", str(deep)]):
+        assert _one_line_error(*_run(capsys, argv)), argv
     # A pair of JSON numbers, integer or not, is still an entry.
     path = _write_json(tmp_path / "ok.json", {
         "schema_version": 1, "kind": "complex_float", "rows": 1, "cols": 2,
@@ -430,6 +453,8 @@ def test_graph_files_with_missing_or_ill_typed_fields_exit_two(capsys, tmp_path)
         {"ground": 2, "adj": [[0], [0]]},
         {"ground": 2, "right": 1.5, "adj": [[0], [0]]},
         {"ground": 2, "right": 1, "adj": [[0], [True]]},
+        {"ground": 1, "right": 1, "adj": [{}]},
+        {"ground": 0, "right": 1, "adj": ""},
         [2, 1],
     ]
     for i, doc in enumerate(bipartite):
@@ -440,8 +465,46 @@ def test_graph_files_with_missing_or_ill_typed_fields_exit_two(capsys, tmp_path)
         {"vertices": 3},
         {"edges": [[0, 1]]},
         {"vertices": 3, "edges": [[0, 1.0]]},
+        {"vertices": 3, "edges": {}},
     ]
     for i, doc in enumerate(simple):
         path = _write_json(tmp_path / f"simple{i}.json", doc)
         code, out, err = _run(capsys, ["clique-gadget", "--graph", path, "--k", "3"])
         assert _one_line_error(code, out, err), (doc, err)
+
+
+def test_non_finite_or_negative_delta_and_tol_exit_two(capsys, tmp_path):
+    rip = ["rip-check", "--n", "8", "--rows", "0,1,4", "--k", "2"]
+    for value in ("nan", "inf", "-inf", "-0.1"):
+        code, doc, err = _run(capsys, rip + [f"--delta={value}"])
+        assert _one_line_error(code, doc, err) and "delta must be finite" in err, (value, err)
+    frame = _write_json(tmp_path / "frame.json", {
+        "schema_version": 1, "kind": "complex_float", "rows": 2, "cols": 3,
+        "entries": [[1, 0], [1, 0], [0, 1], [2, 0], [2, 0], [0, -1]]})
+    for value in ("nan", "inf", "-1"):
+        code, doc, err = _run(capsys, ["spark", "--matrix", frame, f"--tol={value}"])
+        assert _one_line_error(code, doc, err) and "tol must be finite" in err, (value, err)
+    code, doc, _ = _run(capsys, ["spark", "--matrix", frame, "--tol", "0"])
+    assert code == 0 and doc["mode"] == "numeric"
+
+
+def test_cyclotomic_order_above_the_bound_exits_two_before_any_ring(capsys, tmp_path, monkeypatch):
+    def no_ring(order):
+        raise AssertionError(f"ring of order {order} built")
+
+    monkeypatch.setattr(exact_arith, "_ring", no_ring)
+    order = cli.MAX_ORDER + 1
+    path = _write_json(tmp_path / "big.json", {
+        "schema_version": 1, "kind": "cyclotomic", "order": order, "rows": 1, "cols": 1,
+        "entries": [[1]]})
+    for argv in (
+        ["spark", "--matrix", path],
+        ["coherence", "--matrix", path],
+        ["full-spark", "--dft", str(order), "--rows", "0,1"],
+        ["spark", "--dft", str(order), "--rows", "0"],
+        ["construct", "--harmonic", "--n", str(order), "--rows", "0,1"],
+        ["construct", "--optimal", "--n", str(order), "--m", "2"],
+    ):
+        code, doc, err = _run(capsys, argv)
+        assert _one_line_error(code, doc, err), argv
+        assert f"order must lie in 1..{cli.MAX_ORDER}" in err, argv

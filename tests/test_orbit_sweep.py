@@ -103,8 +103,21 @@ def test_cache_stays_within_its_byte_bound(monkeypatch):
         for _ in range(2):
             assert list(_orbit_representatives(n, k)) == reps
         assert spark_engine._orbit_cache_bytes <= 800
-    assert _kept(cache, 13, 4) == (_walk(13, 4), True) and not cache[16, 6][1]
+    # 28 and 504 row bytes fit in 800; the 462 of (15, 7) do not.
+    for n, k in [(13, 4), (16, 6)]:
+        assert _kept(cache, n, k) == (_walk(n, k), True)
+    assert not cache[15, 7][1]
     assert sum(rows.nbytes for rows, _ in cache.values()) == spark_engine._orbit_cache_bytes
+
+
+def test_cache_charges_row_bytes_not_array_headers(monkeypatch):
+    # The walk of (20, 8) yields 889 rows (7,112 bytes) in 320 small arrays,
+    # whose numpy headers alone would pass a 16 KiB bound.
+    cache = _cache(monkeypatch, limit=16 << 10)
+    assert list(_orbit_representatives(20, 8)) == _walk(20, 8)
+    rows, complete = _kept(cache, 20, 8)
+    assert complete and len(rows) == 889
+    assert spark_engine._orbit_cache_bytes == 889 * 8
 
 
 def test_interleaved_walks_of_one_size_agree(monkeypatch):
