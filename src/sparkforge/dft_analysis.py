@@ -211,10 +211,7 @@ def rip_necessary_check(m: IndexSet, k: int, delta: float) -> RipCheckResult:
     for d in divisors(m.order):
         if d > k:
             continue
-        counts = [0] * d
-        for x in m.members:
-            counts[x % d] += 1
-        for a, count in enumerate(counts):
+        for a, count in enumerate(distribution_report(m, d).coset_counts):
             if abs(d * count - size) > size * delta:
                 violations.append((d, a, count))
     return RipCheckResult(passes=not violations, violations=tuple(violations))

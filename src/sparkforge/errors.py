@@ -18,7 +18,8 @@ class ShapeError(SparkforgeError):
 
 
 class NonFiniteEntry(SparkforgeError):
-    """A floating-point input contains NaN or infinity."""
+    """A floating-point input contains NaN or infinity, or an exact entry
+    lies beyond float range where floats are needed."""
 
 
 class BudgetExceeded(SparkforgeError):

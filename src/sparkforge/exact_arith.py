@@ -8,8 +8,10 @@ makes downstream rank and determinant decisions exact.
 
 ExactScalar layers a positive integer denominator on top of CycInt, giving
 the field Q(w) so that elimination pivots can be inverted without floating
-point.  Inverses are computed by solving c * x = 1 as a rational linear
-system on the power basis.
+point.  An inverse solves c * x = 1 on the power basis in integers: the
+multiplication system of c goes through _bareiss, the package's one
+fraction-free elimination, which exact_linalg also reads for integer
+matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from fractions import Fraction
 
 from .errors import DivisionByZero
 
@@ -279,58 +280,59 @@ def root_power(order: int, k: int) -> CycInt:
     return CycInt(order, ring.rows[t - ring.phi])
 
 
+def _bareiss(m: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, int, int]:
+    """Fraction-free echelon of the integer rows m, in place.
+
+    Returns (rank, sign, last): sign is the parity of the row swaps and last
+    the last pivot, so a square matrix of full rank has determinant
+    sign * last.  With stop_at_gap the sweep ends at the first column without
+    a pivot, where the determinant is already known to be zero.
+    """
+    nrows = len(m)
+    rank, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if m[i][c]), None)
+        if pivot is None:
+            if stop_at_gap:
+                break
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        p = m[rank][c]
+        row_r = m[rank]
+        for i in range(rank + 1, nrows):
+            row_i = m[i]
+            aic = row_i[c]
+            for j in range(c + 1, ncols):
+                row_i[j] = (p * row_i[j] - aic * row_r[j]) // prev
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, sign, prev
+
+
 def _invert_coeffs(order: int, coeffs) -> tuple[tuple[int, ...], int]:
     """Solve c * x = 1 on the power basis; returns (numerators, denominator).
 
-    Forward elimination is fraction-free over the integers; only the back
-    substitution touches rationals.
+    Column j of the system is c * w^j.  _bareiss leaves an echelon whose
+    last pivot d is +-det, and d * x is integral by Cramer's rule, so the
+    back substitution in d * x divides exactly.
     """
     ring = _ring(order)
     phi = ring.phi
-    # Column j of the system is c * w^j.
-    cols = []
-    cur = list(coeffs)
-    for j in range(phi):
-        cols.append(tuple(cur))
-        if j == phi - 1:
-            break
-        carry = cur[phi - 1]
-        cur = [0] + cur[: phi - 1]
-        if carry:
-            top = ring.rows[0]
-            cur = [x + carry * y for x, y in zip(cur, top)]
-    aug = [[cols[j][i] for j in range(phi)] + [1 if i == 0 else 0] for i in range(phi)]
-
-    sign_irrelevant = 0
-    prev = 1
-    for k in range(phi - 1):
-        pivot_row = next((i for i in range(k, phi) if aug[i][k]), None)
-        if pivot_row is None:
-            raise DivisionByZero("element is not invertible")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-            sign_irrelevant ^= 1
-        pk = aug[k][k]
-        for i in range(k + 1, phi):
-            aik = aug[i][k]
-            row_i = aug[i]
-            row_k = aug[k]
-            for j in range(k + 1, phi + 1):
-                row_i[j] = (pk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    if aug[phi - 1][phi - 1] == 0:
+    cols = [_mul_coeffs(ring, root_power(order, j).coeffs, coeffs) for j in range(phi)]
+    aug = [list(row) + [0] for row in zip(*cols)]
+    aug[0][phi] = 1
+    rank, _, d = _bareiss(aug, phi + 1, stop_at_gap=True)
+    if rank < phi:
         raise DivisionByZero("element is not invertible")
-
-    xs = [Fraction(0)] * phi
+    xs = [0] * phi
     for i in range(phi - 1, -1, -1):
-        acc = Fraction(aug[i][phi])
-        for j in range(i + 1, phi):
-            acc -= aug[i][j] * xs[j]
-        xs[i] = acc / aug[i][i]
-    den = math.lcm(*(x.denominator for x in xs))
-    nums = tuple(int(x * den) for x in xs)
-    return nums, den
+        row = aug[i]
+        xs[i] = (d * row[phi] - sum(row[j] * xs[j] for j in range(i + 1, phi))) // row[i]
+    return tuple(xs), d
 
 
 class ExactScalar:

@@ -7,15 +7,16 @@ elimination over the integers, whose last pivot is the determinant up to
 the sign of the row swaps, and Gaussian elimination over Q(w), whose
 determinant is the signed product of the pivots.  For a determinant both
 stop at the first column without a pivot, and neither inverts a pivot that
-has nothing left to eliminate.
+has nothing left to eliminate.  _bareiss lives in exact_arith, where
+ExactScalar.inverse runs the same loop on its multiplication system.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import IndexOutOfRange, ShapeError, SideLimitExceeded
-from .exact_arith import CycInt, ExactScalar, root_power
+from .errors import IndexOutOfRange, NonFiniteEntry, ShapeError, SideLimitExceeded
+from .exact_arith import CycInt, ExactScalar, _bareiss, root_power
 
 __all__ = ["ExactMatrix", "det_exact", "rank_exact", "dft_submatrix"]
 
@@ -137,9 +138,11 @@ class ExactMatrix:
         return ExactMatrix(n, p, out, self.order)
 
     def to_complex_rows(self) -> list[list[complex]]:
-        if self.kind == _INT:
-            return [[complex(e) for e in self.row_list(i)] for i in range(self.rows)]
-        return [[e.to_complex() for e in self.row_list(i)] for i in range(self.rows)]
+        convert = complex if self.kind == _INT else ExactScalar.to_complex
+        try:
+            return [[convert(e) for e in self.row_list(i)] for i in range(self.rows)]
+        except OverflowError as exc:
+            raise NonFiniteEntry(f"exact entry out of float range: {exc}") from exc
 
     def __eq__(self, other):
         return (
@@ -155,39 +158,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, order={self.order}, kind={self.kind})"
-
-
-def _bareiss(m: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, int, int]:
-    """Fraction-free echelon of the integer rows m, in place.
-
-    Returns (rank, sign, last): sign is the parity of the row swaps and last
-    the last pivot, so a square matrix of full rank has determinant
-    sign * last.  With stop_at_gap the sweep ends at the first column without
-    a pivot, where the determinant is already known to be zero.
-    """
-    nrows = len(m)
-    rank, sign, prev = 0, 1, 1
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][c]), None)
-        if pivot is None:
-            if stop_at_gap:
-                break
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            sign = -sign
-        p = m[rank][c]
-        row_r = m[rank]
-        for i in range(rank + 1, nrows):
-            row_i = m[i]
-            aic = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (p * row_i[j] - aic * row_r[j]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, sign, prev
 
 
 def _gauss(m: list[list[ExactScalar]], ncols: int, stop_at_gap: bool) -> tuple[int, list]:

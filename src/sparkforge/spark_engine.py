@@ -610,18 +610,10 @@ def compressed_spark_probe(
     if p < k:
         raise CapExceeded(f"cap {p} leaves fewer than k = {k} bases")
     rng = random.Random(rng_seed)
-    rows_of_f = f.to_rows()
     for t in range(trials):
         bases = sorted(rng.sample(range(1, p + 1), k))
-        compressed = []
-        for b in bases:
-            powers = [1]
-            for _ in range(m - 1):
-                powers.append(powers[-1] * b)
-            compressed.append(
-                [sum(powers[i] * rows_of_f[i][j] for i in range(m)) for j in range(n)]
-            )
-        cert = is_full_spark(ExactMatrix.from_rows(compressed), budget=budget)
+        sketch = ExactMatrix.from_rows([[b**i for i in range(m)] for b in bases])
+        cert = is_full_spark(sketch @ f, budget=budget)
         if not cert.full_spark:
             return CompressedProbeResult(
                 exceeds_k=False,

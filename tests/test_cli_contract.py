@@ -4,7 +4,9 @@ Every matrix, graph or rows file below is malformed by construction: one
 field of a valid document is deleted or replaced by a value that cannot
 be read as that field, or one entry is.  Each must give exit 2, nothing on
 stdout and one ``error:`` line on stderr; an exception escaping cli.run
-would be a traceback.
+would be a traceback.  So must an exact matrix with an entry beyond float
+range wherever a command needs it as floats, while the exact commands
+still read it.
 """
 
 import contextlib
@@ -164,3 +166,25 @@ def test_malformed_rows_files_exit_two(doc, tokens, bad, separator):
     argv = ["dft-analyze", "--n", "7", "--rows-file", "{path}"]
     _assert_usage_error(json.dumps(doc), argv)
     _assert_usage_error(separator.join(tokens + [bad]), argv, suffix=".txt")
+
+
+BIG = 10**400
+BIG_MATRICES = [
+    {"schema_version": 1, "kind": "integer", "rows": 1, "cols": 2, "entries": [1, BIG]},
+    {"schema_version": 1, "kind": "cyclotomic", "order": 5, "rows": 1, "cols": 2,
+     "entries": [[1], [0, BIG]]},
+]
+
+
+@pytest.mark.parametrize("doc", BIG_MATRICES, ids=["integer", "cyclotomic"])
+def test_exact_entries_beyond_float_range(doc):
+    text = json.dumps(doc)
+    _assert_usage_error(text, ["coherence", "--matrix", "{path}"])
+    _assert_usage_error(text, ["construct", "--parseval", "--matrix", "{path}"])
+    for command in ("spark", "full-spark"):
+        assert _run_on(text, [command, "--matrix", "{path}"])[0] == 0
+
+
+@pytest.mark.parametrize("extra", [[], ["--exact"]])
+def test_vandermonde_base_beyond_float_range(extra):
+    _assert_usage_error("", ["construct", "--vandermonde", f"--bases=1,2,{BIG}", "--m", "2"] + extra)

@@ -131,18 +131,48 @@ def test_scalar_canonical_reduction():
     assert ExactScalar(CycInt.from_int(1, -6), 4).den == 2
 
 
+FIELD_ORDERS = (1, 4, 5, 8, 13, 25, 31, 41)
+
+
+def _nonzero_scalars(rng, draws):
+    """Nonzero scalars of each FIELD_ORDERS order, draws(phi) of them.
+
+    Every third draw has coefficients past 2^64, the rest lie in -9..9.
+    """
+    for order in FIELD_ORDERS:
+        width = euler_phi(order)
+        for trial in range(draws(width)):
+            bound = 2**70 if trial % 3 == 2 else 9
+            num = CycInt(order, [rng.randint(-bound, bound) for _ in range(width)])
+            if not num.is_zero():
+                yield ExactScalar(num, rng.randint(1, 9))
+
+
 def test_scalar_field_ops():
     rng = random.Random(404)
-    for order in (1, 4, 5, 8):
-        for _ in range(25):
-            num = _random_cyc(rng, order)
-            if num.is_zero():
-                continue
-            s = ExactScalar(num, rng.randint(1, 9))
-            t = ExactScalar(_random_cyc(rng, order), rng.randint(1, 9))
-            assert (t + s) - s == t
-            assert (t * s) / s == t
-            assert s * s.inverse() == 1
+    for s in _nonzero_scalars(rng, lambda phi: 25 if phi <= 4 else 3):
+        t = ExactScalar(_random_cyc(rng, s.order), rng.randint(1, 9))
+        assert (t + s) - s == t
+        assert (t * s) / s == t
+        inv = s.inverse()
+        assert s * inv == 1
+        assert inv.den > 0 and math.gcd(inv.den, *inv.num.coeffs) == 1
+
+
+def test_inverse_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    moduli = {n: sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=sympy.QQ) for n in FIELD_ORDERS}
+    rng = random.Random(405)
+    # sympy's rational inverse takes seconds once big coefficients meet
+    # phi > 12, so only the orders up to 13 get a third, big draw.
+    for s in _nonzero_scalars(rng, lambda phi: 3 if phi <= 12 else 2):
+        num = sympy.Poly(s.num.coeffs[::-1], x, domain=sympy.QQ)
+        coeffs = num.invert(moduli[s.order]).all_coeffs()[::-1]
+        coeffs += [0] * (euler_phi(s.order) - len(coeffs))
+        den = math.lcm(*(int(c.q) for c in coeffs))
+        want = ExactScalar(CycInt(s.order, [int(c * den) for c in coeffs]).scale(s.den), den)
+        assert s.inverse() == want
 
 
 def test_division_by_zero_raises():
