@@ -233,5 +233,8 @@ def dft_submatrix(order: int, rows, cols=None) -> ExactMatrix:
         raise IndexOutOfRange("row index out of residue range")
     if any(c < 0 or c >= order for c in cols):
         raise IndexOutOfRange("column index out of residue range")
-    ents = [ExactScalar(root_power(order, m * n)) for m in rows for n in cols]
+    # One scalar per distinct power, shared by the entries that hold it.
+    powers = [m * n % order for m in rows for n in cols]
+    scalars = {t: ExactScalar(root_power(order, t)) for t in set(powers)}
+    ents = [scalars[t] for t in powers]
     return ExactMatrix(len(rows), len(cols), ents, order)

@@ -251,7 +251,11 @@ def _modular_maps(order: int, index: int = 0) -> tuple[int, np.ndarray]:
         if all(pow(g, d, p) != 1 for d in divisors(order)[:-1])
     )
     units = [e for e in range(1, order + 1) if math.gcd(e, order) == 1]
-    w = np.array([[pow(g, e * i, p) for i in range(len(units))] for e in units], dtype=np.int64)
+    # Column i is column i-1 times g^(e_k); each product stays below 2^62.
+    step = np.array([pow(g, e, p) for e in units], dtype=np.int64)
+    w = np.ones((len(units), len(units)), dtype=np.int64)
+    for i in range(1, len(units)):
+        w[:, i] = w[:, i - 1] * step % p
     w.flags.writeable = False  # shared by every caller through the cache
     return p, w
 
@@ -259,29 +263,49 @@ def _modular_maps(order: int, index: int = 0) -> tuple[int, np.ndarray]:
 def _integral_coeffs(a: ExactMatrix) -> np.ndarray:
     """Power-basis coefficients of a as Python ints, shape (cols, rows, phi).
 
-    Each row is first scaled by the lcm of its denominators, which puts
-    every entry in Z[w] and changes no minor's vanishing.
+    Each row with a denominator other than 1 is first scaled by the lcm of
+    its denominators, which puts every entry in Z[w] and changes no minor's
+    vanishing.  The ints stay exact: entries may pass 2^64, and the Hadamard
+    bound of _dependent_by_norm is taken on them.
     """
-    flat = []
-    for i in range(a.rows):
-        row = a.row_list(i)
-        if a.is_integer():
-            flat.extend(row)
-        else:
-            lcm = math.lcm(*(e.den for e in row))
-            for e in row:
-                flat.extend(c * (lcm // e.den) for c in e.num.coeffs)
-    coeffs = np.array(flat, dtype=object).reshape(a.rows, a.cols, euler_phi(a.order))
+    if a.is_integer():
+        return np.array(a.entries, dtype=object).reshape(a.rows, a.cols, 1).swapaxes(0, 1)
+    flat = itertools.chain.from_iterable([e.num.coeffs for e in a.entries])
+    coeffs = np.fromiter(flat, dtype=object).reshape(a.rows, a.cols, euler_phi(a.order))
+    dens = [e.den for e in a.entries]
+    if dens.count(1) < len(dens):
+        dens = np.array(dens, dtype=object).reshape(a.rows, a.cols)
+        scaled = np.flatnonzero((dens != 1).any(axis=1))
+        lcms = np.array([math.lcm(*row) for row in dens[scaled].tolist()], dtype=object)
+        coeffs[scaled] *= (lcms[:, None] // dens[scaled])[:, :, None]
     return coeffs.swapaxes(0, 1)
 
 
+# _column_images splits each residue (below 2^31) into 16-bit limbs and
+# multiplies the limbs by w in int64.  A product stays below 2^47, so a sum
+# of fewer than 2^16 of them is below 2^63 - 2^48 + 2^31, and the reduced
+# high sum shifted back (below 2^47) can be added to the low one.
+_LIMB_BITS = 16
+
+
 def _column_images(coeffs: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
-    """Images of the columns under every map of p: shape (phi, cols, rows)."""
-    residues = (coeffs % p).astype(np.int64)
-    images = np.zeros((w.shape[0],) + residues.shape[:2], dtype=np.int64)
-    for t in range(w.shape[0]):
-        images = (images + w[:, t, None, None] * residues[None, :, :, t]) % p
-    return images
+    """Images of the columns under every map of p: shape (maps, cols, rows).
+
+    ``coeffs`` has shape (cols, rows, phi) and w shape (maps, phi).  Each
+    image is sum_t c_t w[k, t] mod p, taken in one matmul per limb.
+    """
+    phi = w.shape[1]
+    if phi >= 1 << _LIMB_BITS:
+        raise ValueError(f"{phi} basis coefficients overflow the int64 limb sums")
+    cols, rows = coeffs.shape[:2]
+    residues = (coeffs % p).astype(np.int64).reshape(cols * rows, phi).T
+    lo = w @ (residues & ((1 << _LIMB_BITS) - 1))
+    images = w @ (residues >> _LIMB_BITS)
+    images %= p
+    images <<= _LIMB_BITS
+    images += lo
+    images %= p
+    return images.reshape(w.shape[0], cols, rows)
 
 
 def _vanishing_mod_p(stack: np.ndarray, p: int) -> np.ndarray:

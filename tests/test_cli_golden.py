@@ -30,6 +30,17 @@ INPUTS = {
         "schema_version": 1, "kind": "integer", "rows": 2, "cols": 4,
         "entries": [1, 1, 1, 1, 1, 2, 3, 4],
     },
+    # Order 12 with negative coefficients; column 3 is (1 - w) times column 0
+    # plus (w^2 - 2) times column 2.
+    "cyc12_3x6.json": {
+        "schema_version": 1, "kind": "cyclotomic", "rows": 3, "cols": 6, "order": 12,
+        "entries": [
+            [1, -2, 0, 1], [0, 1, 0, 0], [-1, 0, 0, 0], [4, -3, 0, 1], [3, 0, 0, -1],
+            [0, 0, -1, 1], [0, 3, -1, 0], [2, 0, -3, 1], [5, -1, 0, 0], [-10, 5, 1, 0],
+            [0, -2, 0, 0], [-1, 1, 0, 0], [-4, 0, 0, 2], [1, 1, -1, -1], [0, 0, 2, -3],
+            [-4, 7, -4, 5], [1, 0, 1, 0], [2, 0, 0, 0],
+        ],
+    },
     "graph.json": {"ground": 5, "right": 3, "adj": [[0, 1], [1], [1, 2], [0, 2], [2]]},
     "k4plus.json": {
         "vertices": 5, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4]],
@@ -39,10 +50,12 @@ INPUTS = {
 # name -> (argv, exit code); "{dir}" stands for the directory holding INPUTS.
 CASES = {
     "spark_matrix": (["spark", "--matrix", "{dir}/int3x6.json"], 0),
+    "spark_cyclotomic": (["spark", "--matrix", "{dir}/cyc12_3x6.json"], 0),
     "spark_dft_witness": (["spark", "--dft", "8", "--rows", "0,2,4"], 0),
     "spark_dft_full": (["spark", "--dft", "7", "--rows", "0,1,3"], 0),
     "full_spark_refuted": (["full-spark", "--dft", "10", "--rows", "0,1,3,4"], 1),
     "full_spark_holds": (["full-spark", "--dft", "13", "--rows", "0,1,3,4,9"], 0),
+    "full_spark_cyclotomic": (["full-spark", "--matrix", "{dir}/cyc12_3x6.json"], 1),
     "full_spark_matrix": (["full-spark", "--matrix", "{dir}/vand2x4.json"], 0),
     "matroid_girth_hall": (["matroid-girth", "--graph", "{dir}/graph.json"], 0),
     "matroid_girth_representation": (

@@ -169,6 +169,23 @@ def test_dft_submatrix_entries_and_validation():
         dft_submatrix(4, (0, 1), (0, 5))
 
 
+def test_dft_submatrix_matches_the_per_entry_build():
+    for order in range(1, 31):
+        rng = random.Random(order)
+        cases = [(range(order), None), ((), None), ((), (0,))]
+        for _ in range(3):
+            rows = rng.choices(range(order), k=rng.randint(1, 4))
+            cols = rng.choices(range(order), k=rng.randint(1, order + 2))  # repeats
+            cases += [(rows, None), (rows, cols)]
+        for rows, cols in cases:
+            got = dft_submatrix(order, rows, cols)
+            cols = range(order) if cols is None else cols
+            want = [ExactScalar(root_power(order, r * c)) for r in rows for c in cols]
+            assert (got.rows, got.cols, got.order) == (len(rows), len(cols), order)
+            assert list(got.entries) == want
+            assert [hash(e) for e in got.entries] == [hash(e) for e in want]
+
+
 def test_identity_has_full_rank():
     eye = ExactMatrix.identity(5)
     assert rank_exact(eye) == 5
