@@ -7,11 +7,11 @@ element is zero exactly when every stored coefficient is zero, which is what
 makes downstream rank and determinant decisions exact.
 
 ExactScalar layers a positive integer denominator on top of CycInt, giving
-the field Q(w) so that elimination pivots can be inverted without floating
-point.  An inverse solves c * x = 1 on the power basis in integers: the
-multiplication system of c goes through _bareiss, the package's one
-fraction-free elimination, which exact_linalg also reads for integer
-matrices.
+the field Q(w).  _bareiss, the package's one elimination, is fraction-free
+over Z and Z[w] alike, as Sylvester's identity makes each division exact.
+An inverse solves c * x = 1 on the power basis in integers by running
+_bareiss on the multiplication system of c, and exact division in Z[w]
+(CycInt.__floordiv__) multiplies by that inverse.
 """
 
 from __future__ import annotations
@@ -206,6 +206,9 @@ class CycInt:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
     def _check(self, other):
         if not isinstance(other, CycInt):
             raise TypeError(f"expected CycInt, got {type(other).__name__}")
@@ -231,6 +234,22 @@ class CycInt:
         if k == 1:
             return self
         return CycInt(self.order, tuple(k * x for x in self.coeffs))
+
+    def __floordiv__(self, other):
+        """Exact quotient in Z[w]; raises ValueError when other does not divide self."""
+        coeffs = self.coeffs
+        if not isinstance(other, int):
+            self._check(other)
+            inverse, other = _invert_coeffs(self.order, other.coeffs)
+            coeffs = _mul_coeffs(_ring(self.order), coeffs, inverse)
+        if other == 0:
+            raise DivisionByZero("division by zero")
+        if other == 1 or other == -1:
+            return CycInt(self.order, coeffs).scale(other)
+        qr = [divmod(c, other) for c in coeffs]
+        if any(r for _, r in qr):
+            raise ValueError(f"the quotient of {self!r} is not in Z[w]")
+        return CycInt(self.order, tuple(q for q, _ in qr))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -280,11 +299,13 @@ def root_power(order: int, k: int) -> CycInt:
     return CycInt(order, ring.rows[t - ring.phi])
 
 
-def _bareiss(m: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, int, int]:
-    """Fraction-free echelon of the integer rows m, in place.
+def _bareiss(m: list[list], ncols: int, stop_at_gap: bool) -> tuple[int, int, object]:
+    """Fraction-free echelon of the rows m over Z or Z[w], in place.
 
-    Returns (rank, sign, last): sign is the parity of the row swaps and last
-    the last pivot, so a square matrix of full rank has determinant
+    After step k every entry is a (k+1)-minor of m, so by Sylvester's
+    identity each division by the previous pivot is exact.  Returns (rank,
+    sign, last): sign is the parity of the row swaps and last the last pivot
+    (the int 1 if none), so a square matrix of full rank has determinant
     sign * last.  With stop_at_gap the sweep ends at the first column without
     a pivot, where the determinant is already known to be zero.
     """
@@ -313,12 +334,14 @@ def _bareiss(m: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, in
     return rank, sign, prev
 
 
-def _invert_coeffs(order: int, coeffs) -> tuple[tuple[int, ...], int]:
+@functools.lru_cache(maxsize=64)
+def _invert_coeffs(order: int, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Solve c * x = 1 on the power basis; returns (numerators, denominator).
 
     Column j of the system is c * w^j.  _bareiss leaves an echelon whose
     last pivot d is +-det, and d * x is integral by Cramer's rule, so the
-    back substitution in d * x divides exactly.
+    back substitution in d * x divides exactly.  Cached for _bareiss over
+    Z[w], whose every step divides all its entries by the same pivot.
     """
     ring = _ring(order)
     phi = ring.phi
@@ -353,13 +376,10 @@ class ExactScalar:
             num = -num
             den = -den
         if den != 1:
-            if num.is_zero():
-                den = 1
-            else:
-                g = math.gcd(den, *num.coeffs)
-                if g > 1:
-                    num = CycInt(num.order, tuple(c // g for c in num.coeffs))
-                    den //= g
+            g = math.gcd(den, *num.coeffs)  # den itself when num is zero
+            if g > 1:
+                num = CycInt(num.order, tuple(c // g for c in num.coeffs))
+                den //= g
         self.num = num
         self.den = den
 
@@ -381,6 +401,9 @@ class ExactScalar:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def _coerce(self, other):
         if isinstance(other, ExactScalar):

@@ -1,14 +1,13 @@
 """Exact determinants and ranks for integer and cyclotomic matrices.
 
 Matrices hold either arbitrary-precision integers or ExactScalar entries.
-Each domain has one echelon routine, pivoting on the first nonzero entry of
-each column, that det_exact and rank_exact both read: fraction-free Bareiss
-elimination over the integers, whose last pivot is the determinant up to
-the sign of the row swaps, and Gaussian elimination over Q(w), whose
-determinant is the signed product of the pivots.  For a determinant both
-stop at the first column without a pivot, and neither inverts a pivot that
-has nothing left to eliminate.  _bareiss lives in exact_arith, where
-ExactScalar.inverse runs the same loop on its multiplication system.
+det_exact and rank_exact both read one fraction-free elimination, _bareiss
+(in exact_arith, where ExactScalar.inverse also runs it), which pivots on
+the first nonzero entry of each column; its last pivot is the determinant
+up to the sign of the row swaps.  Integer rows go in as they are.  Each
+Q(w) row is first cleared by the lcm of its denominators, so the
+elimination runs in Z[w], where Sylvester's identity makes every division
+exact, and the product of those lcms divides the determinant at the end.
 """
 
 from __future__ import annotations
@@ -110,9 +109,7 @@ class ExactMatrix:
         return ExactMatrix(self.cols, self.rows, ents, self.order)
 
     def is_zero(self) -> bool:
-        if self.kind == _INT:
-            return not any(self.entries)
-        return all(e.is_zero() for e in self.entries)
+        return not any(self.entries)
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -160,42 +157,16 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, order={self.order}, kind={self.kind})"
 
 
-def _gauss(m: list[list[ExactScalar]], ncols: int, stop_at_gap: bool) -> tuple[int, list]:
-    """Gaussian echelon of the Q(w) rows m, in place.
-
-    Returns (sign, pivots): the rank is the number of pivots, and a square
-    matrix of full rank has determinant sign times their product.  A pivot
-    with no row or no column left after it is never inverted.  stop_at_gap
-    ends the sweep at the first column without a pivot, as in _bareiss.
-    """
-    nrows = len(m)
-    sign, pivots = 1, []
-    for c in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
-        if pivot is None:
-            if stop_at_gap:
-                break
-            continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            sign = -sign
-        pivots.append(m[r][c])
-        if r + 1 == nrows or c + 1 == ncols:
-            break
-        inv_p = pivots[-1].inverse()
-        row_r = m[r]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            aic = row_i[c]
-            if aic.is_zero():
-                continue
-            f = aic * inv_p
-            for j in range(c + 1, ncols):
-                arj = row_r[j]
-                if not arj.is_zero():
-                    row_i[j] = row_i[j] - f * arj
-    return sign, pivots
+def _integral_rows(a: ExactMatrix) -> tuple[list[list], int]:
+    """The rows of a, each Q(w) row cleared by the lcm of its denominators, and their product."""
+    if a.kind == _INT:
+        return a.to_rows(), 1
+    rows, factor = [], 1
+    for row in a.to_rows():
+        lcm = math.lcm(*(e.den for e in row))
+        rows.append([e.num.scale(lcm // e.den) for e in row])
+        factor *= lcm
+    return rows, factor
 
 
 def det_exact(a: ExactMatrix, side_limit: int = DEFAULT_SIDE_LIMIT) -> ExactScalar:
@@ -204,21 +175,17 @@ def det_exact(a: ExactMatrix, side_limit: int = DEFAULT_SIDE_LIMIT) -> ExactScal
         raise ShapeError(f"determinant of a {a.rows}x{a.cols} matrix")
     if a.rows > side_limit:
         raise SideLimitExceeded(f"side {a.rows} exceeds limit {side_limit}")
-    if a.kind == _INT:
-        rank, sign, last = _bareiss(a.to_rows(), a.cols, stop_at_gap=True)
-        return ExactScalar.from_int(1, sign * last if rank == a.rows else 0)
-    sign, pivots = _gauss(a.to_rows(), a.cols, stop_at_gap=True)
-    if len(pivots) < a.rows:
+    rows, factor = _integral_rows(a)
+    rank, sign, last = _bareiss(rows, a.cols, stop_at_gap=True)
+    if rank < a.rows:
         return ExactScalar.zero(a.order)
-    det = math.prod(pivots, start=ExactScalar.one(a.order))
-    return det if sign > 0 else -det
+    last = CycInt.from_int(a.order, last) if isinstance(last, int) else last
+    return ExactScalar(last if sign > 0 else -last, factor)
 
 
 def rank_exact(a: ExactMatrix) -> int:
     """Exact rank over the entry field."""
-    if a.kind == _INT:
-        return _bareiss(a.to_rows(), a.cols, stop_at_gap=False)[0]
-    return len(_gauss(a.to_rows(), a.cols, stop_at_gap=False)[1])
+    return _bareiss(_integral_rows(a)[0], a.cols, stop_at_gap=False)[0]
 
 
 def dft_submatrix(order: int, rows, cols=None) -> ExactMatrix:

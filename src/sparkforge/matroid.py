@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import BadK, ShapeError
+from .errors import BadK, CapExceeded, ShapeError
 from .exact_linalg import ExactMatrix
 from .spark_engine import DEFAULT_BUDGET, _first_dependent, _subset_search, spark
 
@@ -31,6 +31,9 @@ __all__ = [
     "girth_via_representation",
     "clique_gadget",
 ]
+
+# Adjacency entries |E| * (C(k,2) - k + 1) of the largest clique gadget built.
+MAX_GADGET_ENTRIES = 1_000_000
 
 
 def _field(data, key: str):
@@ -244,12 +247,16 @@ def clique_gadget(g: SimpleGraph, k: int) -> BipartiteGraph:
     vertices, so a set of c edges is dependent exactly when it spans at
     most c + k - C(k,2) vertices.  The smallest such set of size C(k,2)
     is a k-clique, making the girth equal C(k,2) if and only if g contains
-    one.  Needs k >= 4 so the padding count is nonnegative.
+    one.  Needs k >= 4 so the padding count is nonnegative; a gadget past
+    MAX_GADGET_ENTRIES adjacency entries raises CapExceeded.
     """
     if k < 4:
         raise BadK("gadget needs k >= 4")
     pads = math.comb(k, 2) - k - 1
+    entries = len(g.edges) * (pads + 2)
+    if entries > MAX_GADGET_ENTRIES:
+        raise CapExceeded(f"gadget needs {entries} adjacency entries, cap {MAX_GADGET_ENTRIES}")
     right = g.vertices + pads
-    pad_block = tuple(range(g.vertices, right))
+    pad_block = tuple(range(g.vertices, right)) if g.edges else ()
     adj = tuple((a, b) + pad_block for a, b in g.edges)
     return BipartiteGraph(ground_size=len(g.edges), right_size=right, adj=adj)

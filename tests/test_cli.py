@@ -241,6 +241,18 @@ def test_clique_gadget_girth_flag(capsys, tmp_path):
     assert doc["girth"]["girth"] != 6
 
 
+def test_clique_gadget_past_the_entry_cap_exits_three(capsys, tmp_path):
+    pairs = [[a, b] for a in range(8) for b in range(a + 1, 8)][::2]
+    graph = _write_json(tmp_path / "g.json", {"vertices": 8, "edges": pairs})
+    assert len(pairs) == 14
+    code, doc, err = _run(capsys, ["clique-gadget", "--graph", graph, "--k", "800"])
+    assert code == 3 and doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+    edgeless = _write_json(tmp_path / "e.json", {"vertices": 3, "edges": []})
+    code, doc, _ = _run(capsys, ["clique-gadget", "--graph", edgeless, "--k", str(10**9)])
+    assert code == 0 and doc["adj"] == [] and doc["right"] == 3 + math.comb(10**9, 2) - 10**9 - 1
+
+
 def test_probe_full_spark_exits_zero(capsys, tmp_path):
     frame = cli.matrix_to_json(constructions.vandermonde((1, 2, 3, 4), 3).exact_shadow)
     path = _write_json(tmp_path / "frame.json", frame)

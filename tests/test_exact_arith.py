@@ -10,6 +10,7 @@ from sparkforge import cyclotomic_poly, root_power
 from sparkforge.exact_arith import (
     CycInt,
     ExactScalar,
+    _invert_coeffs,
     divisors,
     euler_phi,
     is_prime,
@@ -182,6 +183,41 @@ def test_division_by_zero_raises():
         one / zero
     with pytest.raises(DivisionByZero):
         zero.inverse()
+
+
+def test_zero_is_falsy_and_nonzero_is_truthy():
+    rng = random.Random(406)
+    for order in FIELD_ORDERS:
+        assert not CycInt.zero(order) and not ExactScalar.zero(order)
+        assert CycInt.one(order) and ExactScalar(root_power(order, 1), 7)
+    for s in _nonzero_scalars(rng, lambda phi: 2):
+        assert s and s.num and not s - s and not s.num - s.num
+
+
+def test_floordiv_is_exact_division_in_z_w():
+    rng = random.Random(407)
+    for s in _nonzero_scalars(rng, lambda phi: 4 if phi <= 4 else 2):
+        a = CycInt(s.order, [rng.randint(-2**70, 2**70) for _ in s.num.coeffs])
+        b = s.num
+        assert (a * b) // b == a
+        assert (a * b) // (-b) == -a
+        assert a.scale(-12) // 12 == -a
+        assert a.scale(6) // CycInt.from_int(s.order, 3) == a.scale(2)
+        assert a // 1 == a and a // CycInt.one(s.order) == a
+
+
+def test_floordiv_refuses_inexact_and_zero_divisors():
+    w = root_power(8, 1)
+    one = CycInt.one(8)
+    with pytest.raises(ValueError):
+        one // (one + w)  # 1 + w has norm 2, so it is not a unit
+    with pytest.raises(ValueError):
+        (w + w + one) // 2
+    with pytest.raises(DivisionByZero):
+        one // CycInt.zero(8)
+    with pytest.raises(DivisionByZero):
+        one // 0
+    assert _invert_coeffs.cache_info().maxsize == 64
 
 
 def test_scalar_to_complex_tracks_denominator():

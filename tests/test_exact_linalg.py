@@ -1,5 +1,6 @@
 """Exact determinants and ranks over integers and over Q(w_N)."""
 
+import math
 import random
 
 import pytest
@@ -34,6 +35,15 @@ def _random_scalar_matrix(rng, order, side):
     return ExactMatrix.from_rows(
         [[_random_scalar(rng, order) for _ in range(side)] for _ in range(side)]
     )
+
+
+def _gap_rows(order):
+    # Column 1 is twice column 0, so elimination finds no pivot there.
+    return [[ExactScalar.from_int(order, v) for v in row] for row in (
+        [1, 2, 0, 1], [1, 2, 1, 0], [2, 4, 1, 1], [0, 0, 1, 2])]
+
+
+_GAP = ExactMatrix.from_rows(_gap_rows(5))
 
 
 def test_det_examples():
@@ -104,29 +114,130 @@ def test_row_swap_flips_sign_and_row_scale_scales():
         assert det_exact(ExactMatrix.from_rows(scaled)) == d * ExactScalar.from_int(1, s)
 
 
-def test_q_w_elimination_inverts_only_pivots_with_work_after_them(monkeypatch):
-    # Inverses dominate exact Q(w) time; a pivot with no row or no column
-    # after it, or anything past a pivotless column of a determinant, needs none.
+def test_det_and_rank_exact_never_invert_a_scalar(monkeypatch):
+    # Both run fraction-free over Z[w]; ExactScalar.inverse is left to / alone.
     calls = []
     original = ExactScalar.inverse
     monkeypatch.setattr(ExactScalar, "inverse", lambda self: calls.append(1) or original(self))
-
-    def inverses(fn, a):
-        calls.clear()
-        fn(a)
-        return len(calls)
-
     square = dft_submatrix(5, (0, 1, 2, 3), (0, 1, 2, 3))
     wide = dft_submatrix(5, (0, 1))
-    # Column 1 is twice column 0, so elimination finds no pivot there.
-    gap = ExactMatrix.from_rows([[ExactScalar.from_int(5, v) for v in row] for row in (
-        [1, 2, 0, 1], [1, 2, 1, 0], [2, 4, 1, 1], [0, 0, 1, 2])])
-    assert inverses(det_exact, square) == 3
-    assert inverses(rank_exact, square) == 3
-    assert inverses(rank_exact, wide) == 1
-    assert inverses(rank_exact, wide.transpose()) == 1
-    assert inverses(det_exact, gap) == 1 and det_exact(gap).is_zero()
-    assert inverses(rank_exact, gap) == 2 and rank_exact(gap) == 3
+    assert not det_exact(square).is_zero() and rank_exact(square) == 4
+    assert rank_exact(wide) == 2 and rank_exact(wide.transpose()) == 2
+    assert det_exact(_GAP).is_zero() and rank_exact(_GAP) == 3
+    with_denominators = _random_scalar_matrix(random.Random(88), 7, 4)
+    assert rank_exact(with_denominators) == 4 and det_exact(with_denominators)
+    assert calls == []
+
+
+def test_singular_minor_determinant_is_falsy():
+    assert not det_exact(dft_submatrix(10, (0, 1, 3, 4), (0, 1, 2, 6)))
+    assert det_exact(dft_submatrix(10, (0, 1, 3, 4), (0, 1, 2, 3)))
+
+
+def test_matrix_is_zero_for_both_entry_kinds():
+    assert ExactMatrix.from_rows([[0, 0], [0, 0]]).is_zero()
+    assert not ExactMatrix.from_rows([[0, 0], [0, -1]]).is_zero()
+    zeros = [[ExactScalar.zero(12)] * 3] * 2
+    assert ExactMatrix.from_rows(zeros).is_zero()
+    one_entry = zeros[0][:2] + [ExactScalar(root_power(12, 5), 7)]
+    assert not ExactMatrix.from_rows([zeros[0], one_entry]).is_zero()
+
+
+def _gauss(m: list[list[ExactScalar]], ncols: int, stop_at_gap: bool) -> tuple[int, list]:
+    """Gaussian echelon of the Q(w) rows m, in place.
+
+    Returns (sign, pivots): the rank is the number of pivots, and a square
+    matrix of full rank has determinant sign times their product.  A pivot
+    with no row or no column left after it is never inverted.  stop_at_gap
+    ends the sweep at the first column without a pivot, as in _bareiss.
+    """
+    nrows = len(m)
+    sign, pivots = 1, []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        if pivot is None:
+            if stop_at_gap:
+                break
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        pivots.append(m[r][c])
+        if r + 1 == nrows or c + 1 == ncols:
+            break
+        inv_p = pivots[-1].inverse()
+        row_r = m[r]
+        for i in range(r + 1, nrows):
+            row_i = m[i]
+            aic = row_i[c]
+            if aic.is_zero():
+                continue
+            f = aic * inv_p
+            for j in range(c + 1, ncols):
+                arj = row_r[j]
+                if not arj.is_zero():
+                    row_i[j] = row_i[j] - f * arj
+    return sign, pivots
+
+
+def _gauss_det(a):
+    # Independent oracle: Gaussian elimination over Q(w), pivots inverted.
+    sign, pivots = _gauss(a.to_rows(), a.cols, stop_at_gap=True)
+    if len(pivots) < a.rows:
+        return ExactScalar.zero(a.order)
+    det = math.prod(pivots, start=ExactScalar.one(a.order))
+    return det if sign > 0 else -det
+
+
+def _gauss_rank(a):
+    return len(_gauss(a.to_rows(), a.cols, stop_at_gap=False)[1])
+
+
+def _singular_variants(rng, rows):
+    side = len(rows)
+    if side < 2:
+        return []
+    order = rows[0][0].order
+    i, j = rng.sample(range(side), 2)
+    repeated = [list(r) for r in rows]
+    repeated[j] = list(repeated[i])
+    zero_col = [list(r) for r in rows]
+    for r in zero_col:
+        r[j] = ExactScalar.zero(order)
+    return [repeated, zero_col]
+
+
+def test_det_and_rank_match_the_gauss_oracle_over_q_w():
+    rng = random.Random(66)
+    for order in (3, 4, 5, 7, 8, 9, 12, 15):
+        cases = [_gap_rows(order)]
+        for side in range(1, 6):
+            for _ in range(4 if side <= 3 else 2):
+                rows = _random_scalar_matrix(rng, order, side).to_rows()
+                cases += [rows] + _singular_variants(rng, rows)
+        for rows in cases:
+            a = ExactMatrix.from_rows(rows)
+            want = _gauss_det(a)
+            assert det_exact(a) == want
+            assert rank_exact(a) == _gauss_rank(a)
+            assert (rank_exact(a) == a.rows) == bool(want)
+        for nrows, ncols in ((1, 3), (2, 5), (3, 4)):
+            rows = [[_random_scalar(rng, order) for _ in range(ncols)] for _ in range(nrows)]
+            doubled = rows[:-1] + [[x + x for x in rows[0]]]
+            for wide in (ExactMatrix.from_rows(rows), ExactMatrix.from_rows(doubled)):
+                for a in (wide, wide.transpose()):
+                    assert rank_exact(a) == _gauss_rank(a)
+
+
+def test_det_and_rank_match_the_gauss_oracle_on_dft_minors():
+    rng = random.Random(77)
+    for order, side in ((25, 3), (25, 5), (31, 3), (31, 4)):
+        for _ in range(2):
+            a = dft_submatrix(order, sorted(rng.sample(range(order), side)),
+                              sorted(rng.sample(range(order), side)))
+            assert det_exact(a) == _gauss_det(a)
+            assert rank_exact(a) == _gauss_rank(a)
 
 
 def test_det_shape_and_side_limit_errors():

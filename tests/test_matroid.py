@@ -12,11 +12,12 @@ from sparkforge import (
     clique_gadget,
     girth_via_representation,
     hall_girth,
+    matroid,
     random_representation,
     rank_exact,
     spark,
 )
-from sparkforge.errors import BadK, BudgetExceeded, ShapeError
+from sparkforge.errors import BadK, BudgetExceeded, CapExceeded, ShapeError
 
 
 def _random_bipartite(rng, ground_max=7, right_max=5):
@@ -219,6 +220,15 @@ def test_clique_gadget_c5_has_no_dependent_set():
 def test_clique_gadget_rejects_small_k():
     with pytest.raises(BadK):
         clique_gadget(_k_complete(5), 3)
+
+
+def test_clique_gadget_entry_cap_admits_exactly_its_size(monkeypatch):
+    k5 = _k_complete(5)  # 10 edges of 2 + C(4,2) - 4 - 1 = 3 entries each
+    monkeypatch.setattr(matroid, "MAX_GADGET_ENTRIES", 30)
+    assert clique_gadget(k5, 4).ground_size == 10
+    monkeypatch.setattr(matroid, "MAX_GADGET_ENTRIES", 29)
+    with pytest.raises(CapExceeded, match="30 adjacency entries"):
+        clique_gadget(k5, 4)
 
 
 def test_clique_gadget_soundness_sampled_graphs():
