@@ -189,7 +189,7 @@ def _rows_from_args(args) -> list[int]:
 
 
 def _index_set(order: int, args) -> dft_analysis.IndexSet:
-    return dft_analysis.IndexSet.from_iterable(order, _rows_from_args(args))
+    return dft_analysis.IndexSet.from_iterable(_order(order), _rows_from_args(args))
 
 
 def _load_matrix(args):
@@ -250,10 +250,9 @@ def _cmd_construct(args):
 
 def _matrix_for_spark(args):
     if args.dft is not None:
-        order = _order(args.dft)
-        rows = _index_set(order, args)
+        rows = _index_set(args.dft, args)
         cols = _parse_int_list(args.cols) if args.cols else None
-        return dft_submatrix(order, rows, cols)
+        return dft_submatrix(rows.order, rows, cols)
     if args.matrix is None:
         raise UsageError("need --matrix (path or - for stdin) or --dft")
     return _load_matrix(args)

@@ -206,20 +206,14 @@ def harmonic_identity(order: int, rows, k: int) -> Frame:
     d_tail = math.sqrt((order + k) / (m * order))
     diag = np.array([d_head] * k + [d_tail] * (m - k))
 
-    dft_block = np.exp(
-        (-2j * np.pi / order) * np.outer(np.array(rows), np.arange(order))
-    )
-    numeric = np.hstack([diag[:, None] * dft_block, np.eye(m, k, dtype=complex)])
-
-    shadow_dft = dft_submatrix(order, rows)
+    base = harmonic(order, rows)
+    numeric = np.hstack([diag[:, None] * base.matrix, np.eye(m, k, dtype=complex)])
     zero = ExactScalar.zero(order)
     one = ExactScalar.one(order)
-    shadow_rows = []
-    for i in range(m):
-        row = shadow_dft.row_list(i)
-        row.extend(one if i == j else zero for j in range(k))
-        shadow_rows.append(row)
-    shadow = ExactMatrix.from_rows(shadow_rows)
+    shadow = ExactMatrix.from_rows(
+        [base.exact_shadow.row_list(i) + [one if i == j else zero for j in range(k)]
+         for i in range(m)]
+    )
 
     col_scale = np.concatenate([np.ones(order), np.full(k, 1 / d_head)])
     return Frame(

@@ -167,27 +167,33 @@ def closure_orbit(m: IndexSet, cap: int = ORBIT_CAP) -> frozenset[IndexSet]:
 
     These are exactly the operations that preserve the full-spark property
     of the corresponding DFT rows, so every orbit member shares the seed's
-    status.  Proper nonempty sets only; the orbit size is capped.
+    status.  They generate the affine maps x -> u*x + t (u a unit mod N)
+    and their compositions with complement, which commutes with every
+    bijection of Z_N; so the orbit is {u*S + t} together with the
+    complements of those sets.  S is the smaller of the seed and its
+    complement, which share one orbit, and t runs up to S's translation
+    period, the least d | N with S + d = S, the same for every u*S.
+    Proper nonempty sets only; an orbit of more than ``cap`` members
+    raises BudgetExceeded.
     """
     n = m.order
     if not m.members or len(m.members) == n:
         raise DegenerateSet("orbit needs a proper nonempty set")
-    units = [a for a in range(2, n) if math.gcd(a, n) == 1]
-    seen = {m}
-    frontier = [m]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            images = [s.translate(1), s.complement()]
-            images.extend(s.dilate(a) for a in units)
-            for img in images:
-                if img not in seen:
-                    seen.add(img)
-                    if len(seen) > cap:
-                        raise BudgetExceeded(f"orbit exceeds cap {cap}")
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
+    seed = m.members if 2 * len(m) <= n else m.complement().members
+    period = next(d for d in divisors(n) if {(x + d) % n for x in seed} == set(seed))
+    dilates = {tuple(sorted(u * x % n for x in seed)) for u in range(1, n) if math.gcd(u, n) == 1}
+    # A complement is a new member for every image when the sizes differ.
+    share = 2 if 2 * len(seed) < n else 1
+    images = set()
+    for base in dilates:
+        for t in range(period):
+            images.add(tuple(sorted((x + t) % n for x in base)))
+            if share * len(images) > cap:
+                raise BudgetExceeded(f"orbit exceeds cap {cap}")
+    orbit = images | {tuple(sorted(set(range(n)).difference(s))) for s in images}
+    if len(orbit) > cap:
+        raise BudgetExceeded(f"orbit exceeds cap {cap}")
+    return frozenset(IndexSet(n, s) for s in orbit)
 
 
 def rip_necessary_check(m: IndexSet, k: int, delta: float) -> RipCheckResult:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 from .errors import DivisionByZero
@@ -79,50 +80,33 @@ def is_prime_power(n: int) -> bool:
     return n > 1 and len(_factorize(n)) == 1
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(num, den):
-    # Integer polynomial long division; den must be monic.
-    num = list(num)
-    dn = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    q = [0] * max(len(num) - dn, 1)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            q[i - dn] = c
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= c * dj
-    return q, num[:dn]
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
-    Computed as the exact quotient of x^n - 1 by the product of the d-th
-    cyclotomic polynomials over the proper divisors d of n.
+    Computed as the Moebius product of binomials,
+    Phi_n = prod over d | n of (x^d - 1)^mu(n/d), where only squarefree
+    n/d, products of distinct primes of n, have mu(n/d) != 0: first the
+    products by x^d - 1 with mu = 1, then the exact divisions by those
+    with mu = -1, each a running difference q_i = q_(i-d) - p_i.
     """
     if n < 1:
         raise ValueError("cyclotomic_poly requires a positive integer")
-    if n == 1:
-        return (-1, 1)
-    den = [1]
-    for d in divisors(n)[:-1]:
-        den = _poly_mul(den, cyclotomic_poly(d))
-    num = [-1] + [0] * (n - 1) + [1]
-    q, r = _poly_divmod(num, den)
-    if any(r):
-        raise AssertionError("cyclotomic division left a remainder")
-    return tuple(q)
+    primes = list(_factorize(n))
+    p = [1]
+    # mu(n/d) = (-1)^r for n/d a product of r distinct primes of n; the
+    # mu = 1 binomials go first, so that every division is exact.
+    for r in [*range(0, len(primes) + 1, 2), *range(1, len(primes) + 1, 2)]:
+        for c in itertools.combinations(primes, r):
+            d = n // math.prod(c)
+            if r % 2 == 0:
+                p = [a - b for a, b in zip([0] * d + p, p + [0] * d)]
+            else:
+                q = []
+                for i, x in enumerate(p[: len(p) - d]):
+                    q.append((q[i - d] if i >= d else 0) - x)
+                p = q
+    return tuple(p)
 
 
 class _Ring:

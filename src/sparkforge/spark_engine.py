@@ -148,10 +148,15 @@ class CompressedProbeResult:
 
 
 def _lex_rank(n: int, combo: tuple[int, ...]) -> int:
-    """How many size-len(combo) subsets of range(n) precede combo in lex order."""
+    """How many size-len(combo) subsets of range(n) precede combo in lex order.
+
+    Those with combo's first i elements and a smaller (i+1)-th element x,
+    prev < x < c, number sum_x C(n-x-1, k-i-1) = C(n-prev-1, k-i) - C(n-c, k-i)
+    by the hockey-stick identity.
+    """
     k, rank, prev = len(combo), 0, -1
     for i, c in enumerate(combo):
-        rank += sum(math.comb(n - x - 1, k - i - 1) for x in range(prev + 1, c))
+        rank += math.comb(n - prev - 1, k - i) - math.comb(n - c, k - i)
         prev = c
     return rank
 

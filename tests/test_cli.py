@@ -59,6 +59,14 @@ def test_construct_harmonic_cyclotomic_round_trip(capsys):
     assert cli.matrix_to_json(parsed) == doc
 
 
+def test_construct_harmonic_takes_quadratic_residue_rows(capsys):
+    code, doc, _ = _run(capsys, ["construct", "--harmonic", "--n", "13", "--rows-qr", "--exact"])
+    assert code == 0
+    rows = list(constructions.quadratic_residue_rows(13))
+    assert rows == [0, 1, 3, 4, 9, 10, 12]
+    assert doc == cli.matrix_to_json(dft_submatrix(13, rows))
+
+
 def test_construct_optimal_complex_round_trip(capsys):
     code, doc, _ = _run(capsys, ["construct", "--optimal", "--n", "6", "--m", "3"])
     assert code == 0
@@ -516,6 +524,9 @@ def test_cyclotomic_order_above_the_bound_exits_two_before_any_ring(capsys, tmp_
         ["spark", "--dft", str(order), "--rows", "0"],
         ["construct", "--harmonic", "--n", str(order), "--rows", "0,1"],
         ["construct", "--optimal", "--n", str(order), "--m", "2"],
+        ["dft-analyze", "--n", str(order), "--rows", "0,1"],
+        ["orbit", "--n", str(order), "--rows", "0,1"],
+        ["rip-check", "--n", str(order), "--k", str(order), "--delta", "0.5", "--rows", "0,1"],
     ):
         code, doc, err = _run(capsys, argv)
         assert _one_line_error(code, doc, err), argv

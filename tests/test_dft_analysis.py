@@ -1,6 +1,7 @@
 """Combinatorics of DFT row selections: coset counts, orbits, RIP screens."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from sparkforge import (
     is_uniformly_distributed,
     rip_necessary_check,
 )
+from sparkforge.dft_analysis import ORBIT_CAP
 from sparkforge.errors import (
     BadModulus,
     BudgetExceeded,
@@ -175,6 +177,86 @@ def test_closure_orbit_examples():
 
     orbit7 = closure_orbit(IndexSet.from_iterable(7, (0, 1, 2)))
     assert (0, 3, 6) in {o.members for o in orbit7}
+
+
+def _bfs_closure_orbit(m: IndexSet, cap: int = ORBIT_CAP) -> frozenset[IndexSet]:
+    """Orbit of an index set under translation, unit dilation, complement.
+
+    These are exactly the operations that preserve the full-spark property
+    of the corresponding DFT rows, so every orbit member shares the seed's
+    status.  Proper nonempty sets only; the orbit size is capped.
+    """
+    n = m.order
+    if not m.members or len(m.members) == n:
+        raise DegenerateSet("orbit needs a proper nonempty set")
+    units = [a for a in range(2, n) if math.gcd(a, n) == 1]
+    seen = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            images = [s.translate(1), s.complement()]
+            images.extend(s.dilate(a) for a in units)
+            for img in images:
+                if img not in seen:
+                    seen.add(img)
+                    if len(seen) > cap:
+                        raise BudgetExceeded(f"orbit exceeds cap {cap}")
+                    nxt.append(img)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _orbit_or_message(orbit, m, cap):
+    try:
+        return orbit(m, cap)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("order", range(2, 11))
+def test_closure_orbit_matches_breadth_first_search(order):
+    # The closed form against a search over the three generators, the
+    # orbit's definition, on every proper nonempty row set.  An uncapped
+    # search from any member finds the same orbit, so it runs once per orbit.
+    orbits = {}
+    for size in range(1, order):
+        for rows in itertools.combinations(range(order), size):
+            m = IndexSet(order, rows)
+            if m not in orbits:
+                orbit = _bfs_closure_orbit(m, ORBIT_CAP)
+                orbits.update(dict.fromkeys(orbit, orbit))
+            assert closure_orbit(m, ORBIT_CAP) == orbits[m], rows
+            for cap in (1, 3, 47):
+                want = _orbit_or_message(_bfs_closure_orbit, m, cap)
+                assert _orbit_or_message(closure_orbit, m, cap) == want, (rows, cap)
+
+
+def _all_maps_orbit(m):
+    """Images of m under every x -> u*x + t, and their complements."""
+    n = m.order
+    images = {
+        tuple(sorted((u * x + t) % n for x in m))
+        for u in range(1, n) if math.gcd(u, n) == 1 for t in range(n)
+    }
+    return images | {tuple(x for x in range(n) if x not in set(s)) for s in images}
+
+
+@pytest.mark.parametrize("order, rows", [
+    (64, range(0, 64, 4)),  # translation period 4
+    (64, [x for x in range(64) if x % 4]),  # its complement, the larger side
+    (128, range(0, 128, 2)),  # half of Z_128, period 2: orbit {evens, odds}
+    (2, [0]), (64, [0]), (127, [0]), (128, [0]),
+    (64, [0, 1, 3]), (128, [0, 1, 3, 9, 20]),
+    (60, [0, 1, 2, 4, 7, 11, 15, 16, 20, 21, 22, 25, 27, 30, 31, 33, 35, 36, 40, 41,
+          42, 44, 45, 47, 50, 51, 53, 55, 56, 59]),  # half of Z_60, aperiodic
+])
+def test_closure_orbit_is_the_image_set_of_all_affine_maps(order, rows):
+    m = IndexSet.from_iterable(order, rows)
+    want = _all_maps_orbit(m)
+    assert {s.members for s in closure_orbit(m, cap=len(want))} == want
+    with pytest.raises(BudgetExceeded, match=f"^orbit exceeds cap {len(want) - 1}$"):
+        closure_orbit(m, cap=len(want) - 1)
 
 
 def test_closure_orbit_guards():

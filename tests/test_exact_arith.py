@@ -54,6 +54,14 @@ def test_cyclotomic_product_identity():
         assert prod == expected, f"divisor product broke at n={n}"
 
 
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in range(1, 301):
+        want = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_poly(n) == tuple(int(c) for c in want), n
+
+
 def test_cyclotomic_degree_is_phi():
     for n in range(1, 31):
         poly = cyclotomic_poly(n)
@@ -158,6 +166,18 @@ def test_scalar_field_ops():
         inv = s.inverse()
         assert s * inv == 1
         assert inv.den > 0 and math.gcd(inv.den, *inv.num.coeffs) == 1
+
+
+def test_scalar_reflected_ops_and_negation():
+    rng = random.Random(408)
+    for s in _nonzero_scalars(rng, lambda phi: 2):
+        one = ExactScalar.one(s.order)
+        assert -s == s * -1 and -(-s) == s and (-s).den == s.den
+        assert 3 - s == ExactScalar.from_int(s.order, 3) - s
+        assert 1 / s == one / s == s.inverse()
+        assert 2 / s * s == 2
+    assert ExactScalar.one(4).__rsub__(1.5) is NotImplemented
+    assert ExactScalar.one(4).__rtruediv__(1.5) is NotImplemented
 
 
 def test_inverse_matches_sympy():

@@ -120,6 +120,19 @@ def test_cache_charges_row_bytes_not_array_headers(monkeypatch):
     assert spark_engine._orbit_cache_bytes == 889 * 8
 
 
+def test_cache_joins_a_long_walk_1024_arrays_at_a_time(monkeypatch):
+    # The walk of (22, 10) yields 2,990 rows in more than 1024 arrays, so
+    # the walk joins what it holds before it ends.
+    cache = _cache(monkeypatch)
+    assert sum(1 for _ in _orbit_walk(22, 10)) > 1024
+    reps = _walk(22, 10)
+    assert len(reps) == 2990
+    assert list(_orbit_representatives(22, 10)) == reps
+    assert _kept(cache, 22, 10) == (reps, True)
+    assert spark_engine._orbit_cache_bytes == 2990 * 10
+    assert list(_orbit_representatives(22, 10)) == reps
+
+
 def test_interleaved_walks_of_one_size_agree(monkeypatch):
     cache = _cache(monkeypatch)
     reps = _walk(14, 6)

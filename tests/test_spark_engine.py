@@ -21,6 +21,7 @@ from sparkforge import (
 )
 from sparkforge.exact_arith import ExactScalar
 from sparkforge.exact_linalg import ExactMatrix
+from sparkforge.spark_engine import _lex_rank
 from sparkforge.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -33,6 +34,13 @@ def _int_matrix(rng, rows, cols, lo=-9, hi=9):
     return ExactMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def test_lex_rank_is_the_enumeration_index():
+    for n in range(11):
+        for k in range(n + 1):
+            for index, combo in enumerate(itertools.combinations(range(n), k)):
+                assert _lex_rank(n, combo) == index, (n, combo)
 
 
 def test_spark_dft_rows_0_2():
