@@ -214,9 +214,10 @@ def girth_via_representation(
 
     Every draw satisfies spark <= girth, so the estimate only ever falls
     short, and each draw independently achieves equality with probability
-    at least 1/2.  A graph without edges is decided before any draw, as
-    hall_girth decides it: girth 1 with witness (0,), or with no witness
-    when the ground set is empty.
+    at least 1/2.  Drawing stops at the ceiling min(right, ground) + 1,
+    which later draws could only tie.  A graph without edges is decided
+    before any draw, as hall_girth decides it: girth 1 with witness (0,),
+    or with no witness when the ground set is empty.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -229,10 +230,13 @@ def girth_via_representation(
         )
     master = random.Random(rng_seed)
     seeds = [master.randrange(2**62) for _ in range(trials)]
-    best = max(
-        (spark(random_representation(g, s), budget=budget) for s in seeds),
-        key=lambda cert: cert.spark,
-    )
+    best = None
+    for s in seeds:
+        cert = spark(random_representation(g, s), budget=budget)
+        if best is None or cert.spark > best.spark:
+            best = cert
+        if best.spark > min(g.right_size, n):
+            break
     return GirthResult(
         girth=best.spark, ground_size=n, witness=best.witness,
         method="representation", trials=trials, seed=rng_seed,

@@ -9,7 +9,11 @@ One subset sweep, _first_dependent, decides spark, the numeric probe and
 the Hall girth of matroid: sizes 1, 2, ... in turn, each entered only when
 its whole level fits in the budget and searched in lexicographic column
 order.  The witness reported is the lexicographically smallest dependent
-subset at the answer size, whatever the thread count.
+subset at the answer size, whatever the thread count.  When the whole sweep
+fits the budget, spark first searches its top size min(rows, cols): subsets
+of independent sets are independent, so one top level can settle all.  The
+numeric probe keeps the plain order (rank under a float tolerance is not
+monotone), and so does Hall girth, whose top level is the whole ground set.
 
 The numeric probe and Hall girth test one subset at a time.  spark, and
 the full-spark check of the single size M, search in blocks mod p: the
@@ -199,13 +203,20 @@ def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
     """Exact spark by the size-then-lex sweep, each level searched mod p.
 
     _block_search proves each dependent subset by the norm bound, with no
-    Q(w) arithmetic.  Past size min(rows, cols) every subset is dependent
-    (or none is left), so that size plus one is the spark when no smaller
-    subset is dependent.  A zero column is a dependent singleton, so the
-    zero matrix has spark 1 and witness (0,).
+    Q(w) arithmetic.  Past size K = min(rows, cols) every subset is
+    dependent (or none is left), so K + 1 is the spark when no smaller
+    subset is dependent.  When the whole sweep fits the budget, level K
+    goes first: with none of its subsets dependent, no smaller one is, and
+    the answer is the sweep's.  Otherwise _first_dependent runs, reusing
+    level K.  A zero column is a dependent singleton, so the zero matrix
+    has spark 1 and witness (0,).
     """
     m, n = a.rows, a.cols
-    k, witness, checked = _first_dependent(n, min(m, n), budget, _block_search(a))
+    top, search = min(m, n), functools.cache(_block_search(a))
+    total = sum(math.comb(n, k) for k in range(1, top + 1))
+    if total <= budget and search(top) is None:
+        return SparkCertificate(top + 1, m, n, None, total, "exact", budget)
+    k, witness, checked = _first_dependent(n, top, budget, search)
     return SparkCertificate(
         spark=k, rows=m, cols=n, witness=witness,
         checked_subsets=checked, mode="exact", budget=budget,

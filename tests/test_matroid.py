@@ -18,6 +18,7 @@ from sparkforge import (
     spark,
 )
 from sparkforge.errors import BadK, BudgetExceeded, CapExceeded, ShapeError
+from sparkforge.spark_engine import SparkCertificate
 
 
 def _random_bipartite(rng, ground_max=7, right_max=5):
@@ -148,6 +149,40 @@ def test_girth_via_representation_matches_hall_on_fixed_graphs():
         want = hall_girth(g).girth
         got = girth_via_representation(g, trials=10, rng_seed=1234)
         assert got.girth == want, g
+
+
+def test_girth_via_representation_stops_at_the_ceiling(monkeypatch):
+    # Draws stop once one reaches min(right, ground) + 1, which no draw can
+    # pass; the result is the max over every draw, the first of equals.
+    calls = []
+    monkeypatch.setattr(matroid, "spark", lambda a, budget: calls.append(a) or spark(a, budget))
+    rng = random.Random(61)
+    early = 0
+    for _ in range(60):
+        g = _random_bipartite(rng)
+        if not any(g.adj):
+            continue
+        trials, seed = rng.randint(1, 6), rng.randrange(10**6)
+        master = random.Random(seed)
+        draws = [spark(random_representation(g, master.randrange(2**62))) for _ in range(trials)]
+        best = max(draws, key=lambda cert: cert.spark)
+        ceiling = min(g.right_size, g.ground_size) + 1
+        drawn = next((i + 1 for i, c in enumerate(draws) if c.spark == ceiling), trials)
+        calls.clear()
+        res = girth_via_representation(g, trials, seed)
+        assert (res.girth, res.witness) == (best.spark, best.witness), g
+        assert len(calls) == drawn, g
+        early += drawn < trials
+    assert early > 0
+    # Of equal sparks the first draw is kept, as max keeps it.
+    draws = iter(
+        SparkCertificate(k, 3, 5, w, 0, "exact")
+        for k, w in [(2, (0, 1)), (3, (0, 1, 2)), (3, (1, 2, 3)), (2, (0, 3)), (4, None)]
+    )
+    monkeypatch.setattr(matroid, "spark", lambda a, budget: next(draws))
+    g = BipartiteGraph(5, 3, ((0,), (1,), (2,), (0, 1), (1, 2)))
+    res = girth_via_representation(g, trials=4, rng_seed=0)
+    assert (res.girth, res.witness) == (3, (0, 1, 2)) and next(draws).spark == 4
 
 
 def test_girth_witness_is_rank_deficient():

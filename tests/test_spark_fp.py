@@ -242,23 +242,34 @@ def test_full_spark_matrices_never_call_rank_exact(monkeypatch):
         [[1, 2, 3, 3, 5], [1, 4, 9, 9, 25]],  # a repeated column
         [[_modular_maps(1)[0], 1, 1], [0, 2, 2]],  # two false alarms first
         [[1, 0, 1, 2], [0, 1, 1, 5], [1, 1, 2, 7]],  # rank 2
+        [[1, 2, 2, 3, 5], [1, 4, 4, 9, 25], [1, 8, 8, 27, 125]],  # spark 2 below K = 3
     ],
 )
 def test_refuted_spark_runs_the_norm_proof_once_per_deficient_candidate(monkeypatch, rows):
+    """spark searches level K = min(rows, cols) first, up to its first
+    dependent subset, then levels 1, 2, ... up to the witness, with level
+    K's result kept: every deficient candidate is proved once, in that order."""
     p = _modular_maps(1)[0]
+    a = ExactMatrix.from_rows(rows)
     columns = list(zip(*rows))
-    cert = oracle(ExactMatrix.from_rows(rows))
-    candidates = [
+    top = min(len(rows), len(columns))
+    cert = oracle(a)
+
+    def deficient(cols):
+        return _rank_mod_p([columns[c] for c in cols], p) < len(cols)
+
+    top_level = list(itertools.combinations(range(len(columns)), top))
+    first = next(i for i, cols in enumerate(top_level) if rank_exact(a.column_submatrix(cols)) < top)
+    candidates = [cols for cols in top_level[: first + 1] if deficient(cols)] + [
         cols
-        for k in range(1, cert.spark + 1)
+        for k in range(1, min(cert.spark, top - 1) + 1)
         for cols in itertools.combinations(range(len(columns)), k)
-        if (k, cols) <= (cert.spark, cert.witness)
-        and _rank_mod_p([columns[c] for c in cols], p) < k
+        if (k, cols) <= (cert.spark, cert.witness) and deficient(cols)
     ]
     calls = _count_proofs(monkeypatch)
-    assert spark(ExactMatrix.from_rows(rows)) == cert
+    assert spark(a) == cert
     assert calls == [[[row[c] for c in cols] for row in rows] for cols in candidates]
-    assert candidates[-1] == cert.witness
+    assert len(set(candidates)) == len(candidates) and cert.witness in candidates
 
 
 def test_refuted_dft_sweeps_make_no_q_w_inverse(monkeypatch):
