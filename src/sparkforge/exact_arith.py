@@ -118,7 +118,7 @@ class _Ring:
         self.rows = rows
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _ring(order: int) -> _Ring:
     # rows[t - phi] holds the basis coefficients of w^t for
     # t = phi .. max(2*phi - 2, order - 1).

@@ -244,7 +244,7 @@ def _is_prime_below_2_31(n: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _modular_maps(order: int, index: int = 0) -> tuple[int, np.ndarray]:
     """(p, w) for the index-th prime p = 1 (mod order) above 2^30.
 
@@ -364,7 +364,7 @@ def _block_search(a: ExactMatrix):
     coeffs = _integral_coeffs(a)
     p, w = _modular_maps(a.order, 0)
     images = _column_images(coeffs, p, w)
-    exponents = _dft_rows(a, coeffs)
+    orbits = _dft_rows(a, coeffs)
     phi, n, m = images.shape
     # sum_i L1(a_ij)^2 for each column j, computed at the first candidate
     # only, since most sweeps have none and entries may be large.
@@ -379,10 +379,7 @@ def _block_search(a: ExactMatrix):
 
     def search(k):
         cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * k))
-        if exponents is None:
-            subsets = itertools.combinations(range(n), k)
-        else:
-            subsets = _orbit_representatives(n, k)
+        subsets = _orbit_representatives(n, k) if orbits else itertools.combinations(range(n), k)
         size = min(_FIRST_BLOCK, cap)
         while block := list(itertools.islice(subsets, size)):
             idx = np.array(block, dtype=np.intp).reshape(len(block), k)
@@ -397,14 +394,13 @@ def _block_search(a: ExactMatrix):
     return search
 
 
-# Orbit masks are int64, so the affine-orbit sweep takes N <= 63.
-_MAX_ORBIT_ORDER = 63
+# Orbit masks sum distinct bits in uint64, so the affine-orbit sweep takes N <= 64.
+_MAX_ORBIT_ORDER = 64
 
 
-def _dft_rows(a: ExactMatrix, coeffs: np.ndarray) -> tuple[int, ...] | None:
-    """The r_i when entry (i, j) of a is exactly w^(r_i j) for every j in
-    0..N-1, with cols = order = N (rows of the N-th DFT over all columns);
-    None otherwise.
+def _dft_rows(a: ExactMatrix, coeffs: np.ndarray) -> bool:
+    """Whether every row of a is a row of the N-th DFT over all N columns:
+    entry (i, j) is exactly w^(r_i j) for every j in 0..N-1, cols = order = N.
 
     coeffs is _integral_coeffs(a).  Each row is compared exactly with the
     rows of the N-th DFT on its integer coefficients, and its entries must
@@ -414,19 +410,16 @@ def _dft_rows(a: ExactMatrix, coeffs: np.ndarray) -> tuple[int, ...] | None:
     """
     n = a.cols
     if a.is_integer() or a.order != n or n > _MAX_ORBIT_ORDER:
-        return None
-    if any(e.den != 1 for e in a.entries):
-        return None
-    table = _dft_row_table(n)
-    exponents = tuple(table.get(tuple(coeffs[:, i].ravel().tolist())) for i in range(a.rows))
-    return None if None in exponents else exponents
+        return False
+    rows = (tuple(coeffs[:, i].ravel().tolist()) for i in range(a.rows))
+    return all(e.den == 1 for e in a.entries) and _dft_row_table(n).issuperset(rows)
 
 
 @functools.lru_cache(maxsize=None)
-def _dft_row_table(n: int) -> dict:
-    """{row r of the n-th DFT, as its power-basis coefficients column by column: r}."""
+def _dft_row_table(n: int) -> frozenset:
+    """The rows of the n-th DFT, as their power-basis coefficients column by column."""
     roots = [root_power(n, t).coeffs for t in range(n)]
-    return {tuple(c for j in range(n) for c in roots[r * j % n]): r for r in range(n)}
+    return frozenset(tuple(c for j in range(n) for c in roots[r * j % n]) for r in range(n))
 
 
 @functools.lru_cache(maxsize=8)
@@ -438,10 +431,10 @@ def _affine_masks(n: int) -> np.ndarray:
     on the top bit, and of two subsets of one size the lex-smaller has the
     larger mask: the first element where they differ is in it.
     """
-    units = np.array([u for u in range(1, n + 1) if math.gcd(u, n) == 1], dtype=np.int64)
-    c = np.arange(n, dtype=np.int64)
+    units = np.array([u for u in range(1, n + 1) if math.gcd(u, n) == 1], dtype=np.uint64)
+    c = np.arange(n, dtype=np.uint64)
     image = (units[:, None, None] * c + c[:, None]) % n  # [u, t, c]
-    masks = np.left_shift(np.int64(1), n - 1 - image).reshape(-1, n).T.copy()
+    masks = np.left_shift(np.uint64(1), n - 1 - image).reshape(-1, n).T.copy()
     masks.flags.writeable = False
     return masks
 
@@ -477,7 +470,7 @@ def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
             yield np.empty((1, 0), dtype=np.uint8)
         return
     if after is None:
-        yield from below((), np.zeros(masks.shape[1], dtype=np.int64), 0)
+        yield from below((), np.zeros(masks.shape[1], dtype=np.uint64), 0)
         return
     for j in range(k - 1, -1, -1):
         prefix = after[:j]
@@ -485,46 +478,43 @@ def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
 
 
 # Representatives depend only on (N, k), so each (N, k) keeps the rows its
-# walks have reached, as uint8, and whether a walk ran to the end.  The row
-# bytes the walks hold while they run, and those the cache keeps, stay
-# within _ORBIT_CACHE_BYTES over all (N, k); a walk keeps what fits.  A walk
-# yields many small arrays, so it joins each 1024 it holds into one, which
-# keeps their headers a small share of what it holds.  Entries are first come
-# and never evicted, so once the bound is reached a (N, k) not yet kept is
-# walked from the start on every call.
+# walks have reached as uint8 bytes, their count, and whether a walk ran to
+# the end.  The dict is in recency order: a level moves to the end when it
+# is used, and the least recently used levels go first when the row bytes
+# pass _ORBIT_CACHE_BYTES.
 _ORBIT_CACHE_BYTES = 1 << 23
-_orbit_cache: dict[tuple[int, int], tuple[np.ndarray, bool]] = {}
-_orbit_cache_bytes = 0
+_orbit_cache: dict[tuple[int, int], tuple[bytes, int, bool]] = {}
 
 
 def _orbit_representatives(n: int, k: int):
     """_orbit_walk(n, k) as tuples: the rows kept for (n, k), then the walk
-    on from the last of them, kept in turn up to the bound."""
-    global _orbit_cache_bytes
-    rows, complete = _orbit_cache.get((n, k), (np.empty((0, k), dtype=np.uint8), False))
-    for i in range(0, len(rows), 1024):
+    on from the last of them, whose rows are kept while the bound allows."""
+    key = n, k
+    data, count, complete = _orbit_cache.pop(key, (b"", 0, False))
+    _orbit_cache[key] = data, count, complete
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(count, k)
+    for i in range(0, count, 1024):
         yield from map(tuple, rows[i : i + 1024].tolist())
     if complete:
         return
-    kept, held, room = [rows], [], _ORBIT_CACHE_BYTES - _orbit_cache_bytes
+    grown, whole = bytearray(data), True
     try:
-        for chunk in _orbit_walk(n, k, tuple(rows[-1].tolist()) if len(rows) else None):
-            room -= chunk.nbytes
-            if room >= 0:
-                held.append(chunk)
-                if len(held) == 1024:
-                    kept.append(np.concatenate(held))
-                    held = []
+        for chunk in _orbit_walk(n, k, tuple(rows[-1].tolist()) if count else None):
+            whole = whole and len(grown) + chunk.nbytes <= _ORBIT_CACHE_BYTES
+            if whole:
+                grown += chunk.tobytes()
+                count += len(chunk)
             yield from map(tuple, chunk.tolist())
-        complete = True
+        complete = whole
     finally:
-        # Runs when the caller stops early too.  Another walk may have
-        # changed the cache meanwhile; a longer entry for (n, k) stays.
-        grown = np.concatenate(kept + held)
-        extra = grown.nbytes - _orbit_cache.get((n, k), (rows,))[0].nbytes
-        if 0 <= extra <= _ORBIT_CACHE_BYTES - _orbit_cache_bytes:
-            _orbit_cache_bytes += extra
-            _orbit_cache[n, k] = grown, complete and room >= 0
+        # Runs when the caller stops early too.  Another walk of (n, k) may
+        # have stored its rows meanwhile; the entry with more rows, or with
+        # as many and complete, stays.
+        if (count, complete) > _orbit_cache.get(key, (b"", 0, False))[1:]:
+            _orbit_cache.pop(key, None)
+            _orbit_cache[key] = bytes(grown), count, complete
+            while sum(len(kept) for kept, _, _ in _orbit_cache.values()) > _ORBIT_CACHE_BYTES:
+                del _orbit_cache[next(iter(_orbit_cache))]
 
 
 def _dependent_by_norm(coeffs: np.ndarray, h2: int, order: int, p: int) -> bool:

@@ -5,6 +5,7 @@ each row with a denominator by the lcm of its denominators, and
 _column_images maps them to F_p under every ring map of a prime in one
 limb-split matmul.  Both are checked here against plain Python loops: the
 row-lcm scaling done by hand, and sum_t c_t w[k, t] mod p in Python ints.
+The per-order tables behind them stay bounded however many orders run.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from sparkforge import exact_arith
 from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi
 from sparkforge.exact_linalg import ExactMatrix
 from sparkforge.spark_engine import (
@@ -149,3 +151,11 @@ def test_certificates_of_a_matrix_with_denominators():
     )
     assert all(e.den == 1 for e in integral.entries)
     assert spark(integral) == spark(a) and is_full_spark(integral) == is_full_spark(a)
+
+
+def test_per_order_tables_keep_at_most_16_orders():
+    for order in range(2, 42):
+        _modular_maps(order)
+        exact_arith._ring(order)
+    assert _modular_maps.cache_info().currsize <= 16
+    assert exact_arith._ring.cache_info().currsize <= 16

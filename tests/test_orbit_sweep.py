@@ -5,7 +5,8 @@ affine group c -> u c + t of Z_N on size-k subsets, in lex order; that is
 checked against brute-force orbits for every N <= 15 and every k.  The
 differential gate then forces the plain lex sweep by replacing the
 detection helper, and requires the same certificate JSON, BudgetExceeded
-message and k_reached on every row subset of small DFT orders.
+message and k_reached on every row subset of small DFT orders, and on a
+dozen row sets of order 64, the largest the orbit sweep takes.
 """
 
 import functools
@@ -70,16 +71,31 @@ def test_walk_resumes_after_any_representative(n, k):
 def _cache(monkeypatch, limit=None):
     """An empty representative cache, optionally with another byte bound."""
     monkeypatch.setattr(spark_engine, "_orbit_cache", {})
-    monkeypatch.setattr(spark_engine, "_orbit_cache_bytes", 0)
     if limit is not None:
         monkeypatch.setattr(spark_engine, "_ORBIT_CACHE_BYTES", limit)
     return spark_engine._orbit_cache
 
 
 def _kept(cache, n, k):
-    rows, complete = cache[n, k]
-    assert rows.dtype == np.uint8
+    data, count, complete = cache[n, k]
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(count, k)
     return [tuple(row) for row in rows.tolist()], complete
+
+
+def _held(cache):
+    return sum(len(data) for data, _, _ in cache.values())
+
+
+def _walks(monkeypatch):
+    """The (n, k, after) of every _orbit_walk the cache starts from now on."""
+    calls, walk = [], spark_engine._orbit_walk
+
+    def counting(n, k, after=None):
+        calls.append((n, k, after))
+        return walk(n, k, after)
+
+    monkeypatch.setattr(spark_engine, "_orbit_walk", counting)
+    return calls
 
 
 def test_cache_keeps_a_partial_walk_and_resumes_it(monkeypatch):
@@ -91,46 +107,12 @@ def test_cache_keeps_a_partial_walk_and_resumes_it(monkeypatch):
         partial.close()
         kept, complete = _kept(cache, 16, 6)
         assert stop <= len(kept) < len(reps) and kept == reps[: len(kept)] and not complete
+    walks = _walks(monkeypatch)
     for _ in range(2):
         assert list(_orbit_representatives(16, 6)) == reps
         assert _kept(cache, 16, 6) == (reps, True)
-
-
-def test_cache_stays_within_its_byte_bound(monkeypatch):
-    cache = _cache(monkeypatch, limit=800)
-    for n, k in [(13, 4), (16, 6), (15, 7)]:
-        reps = _walk(n, k)
-        for _ in range(2):
-            assert list(_orbit_representatives(n, k)) == reps
-        assert spark_engine._orbit_cache_bytes <= 800
-    # 28 and 504 row bytes fit in 800; the 462 of (15, 7) do not.
-    for n, k in [(13, 4), (16, 6)]:
-        assert _kept(cache, n, k) == (_walk(n, k), True)
-    assert not cache[15, 7][1]
-    assert sum(rows.nbytes for rows, _ in cache.values()) == spark_engine._orbit_cache_bytes
-
-
-def test_cache_charges_row_bytes_not_array_headers(monkeypatch):
-    # The walk of (20, 8) yields 889 rows (7,112 bytes) in 320 small arrays,
-    # whose numpy headers alone would pass a 16 KiB bound.
-    cache = _cache(monkeypatch, limit=16 << 10)
-    assert list(_orbit_representatives(20, 8)) == _walk(20, 8)
-    rows, complete = _kept(cache, 20, 8)
-    assert complete and len(rows) == 889
-    assert spark_engine._orbit_cache_bytes == 889 * 8
-
-
-def test_cache_joins_a_long_walk_1024_arrays_at_a_time(monkeypatch):
-    # The walk of (22, 10) yields 2,990 rows in more than 1024 arrays, so
-    # the walk joins what it holds before it ends.
-    cache = _cache(monkeypatch)
-    assert sum(1 for _ in _orbit_walk(22, 10)) > 1024
-    reps = _walk(22, 10)
-    assert len(reps) == 2990
-    assert list(_orbit_representatives(22, 10)) == reps
-    assert _kept(cache, 22, 10) == (reps, True)
-    assert spark_engine._orbit_cache_bytes == 2990 * 10
-    assert list(_orbit_representatives(22, 10)) == reps
+    # One walk, on from the last kept row; the second call only replays.
+    assert walks == [(16, 6, kept[-1])]
 
 
 def test_interleaved_walks_of_one_size_agree(monkeypatch):
@@ -140,18 +122,72 @@ def test_interleaved_walks_of_one_size_agree(monkeypatch):
     pairs = list(zip(one, two))
     assert [a for a, _ in pairs] == [b for _, b in pairs] == reps
     assert list(one) == list(two) == []
-    assert _kept(cache, 14, 6) == (reps, True)
-    assert cache[14, 6][0].nbytes == spark_engine._orbit_cache_bytes
-    assert list(_orbit_representatives(14, 6)) == reps
-    # A walk stopped early after a complete one leaves the longer entry.
-    cache.clear()
-    monkeypatch.setattr(spark_engine, "_orbit_cache_bytes", 0)
+    assert _kept(cache, 14, 6) == (reps, True) and _held(cache) == len(reps) * 6
+    walks = _walks(monkeypatch)
+    assert list(_orbit_representatives(14, 6)) == reps and walks == []
+
+
+def test_walk_stopped_early_after_a_complete_one_leaves_the_longer_entry(monkeypatch):
+    cache = _cache(monkeypatch)
+    reps = _walk(14, 6)
     early = _orbit_representatives(14, 6)
     next(early)
     assert list(_orbit_representatives(14, 6)) == reps
     early.close()
-    assert _kept(cache, 14, 6) == (reps, True)
-    assert cache[14, 6][0].nbytes == spark_engine._orbit_cache_bytes
+    assert _kept(cache, 14, 6) == (reps, True) and _held(cache) == len(reps) * 6
+
+
+def test_cache_stays_within_its_byte_bound(monkeypatch):
+    cache = _cache(monkeypatch, limit=800)
+    # Row bytes: (13, 4) 28, (16, 6) 504, (15, 7) 462 and (18, 8) 3,488.
+    for n, k in [(13, 4), (16, 6), (13, 4), (15, 7)]:
+        assert list(_orbit_representatives(n, k)) == _walk(n, k)
+        assert _held(cache) <= 800
+    # All three pass 800, so (16, 6), the least recently used, went first.
+    assert list(cache) == [(13, 4), (15, 7)]
+    for n, k in [(13, 4), (15, 7)]:
+        assert _kept(cache, n, k) == (_walk(n, k), True)
+    # A level larger than the bound keeps a prefix that fits, alone.
+    reps = _walk(18, 8)
+    assert list(_orbit_representatives(18, 8)) == reps
+    kept, complete = _kept(cache, 18, 8)
+    assert list(cache) == [(18, 8)] and not complete
+    assert kept == reps[: len(kept)] and 0 < len(kept) * 8 == _held(cache) <= 800
+    assert list(_orbit_representatives(18, 8)) == reps
+
+
+def test_cache_charges_row_bytes_not_array_headers(monkeypatch):
+    # The walk of (20, 8) yields 889 rows (7,112 bytes) in 320 small arrays,
+    # whose numpy headers alone would pass a 16 KiB bound.
+    cache = _cache(monkeypatch, limit=16 << 10)
+    assert list(_orbit_representatives(20, 8)) == _walk(20, 8)
+    rows, complete = _kept(cache, 20, 8)
+    assert complete and len(rows) == 889 and _held(cache) == 889 * 8
+
+
+def test_cache_keeps_and_replays_a_level_of_many_arrays(monkeypatch):
+    # The walk of (22, 10) yields 2,990 rows in more than 1024 arrays, and
+    # the replay crosses its 1024-row slices.
+    cache = _cache(monkeypatch)
+    assert sum(1 for _ in _orbit_walk(22, 10)) > 1024
+    reps = _walk(22, 10)
+    assert len(reps) == 2990
+    assert list(_orbit_representatives(22, 10)) == reps
+    assert _kept(cache, 22, 10) == (reps, True) and _held(cache) == 2990 * 10
+    assert list(_orbit_representatives(22, 10)) == reps
+
+
+def test_small_level_replays_after_large_levels_fill_the_bound(monkeypatch):
+    # (16, 6) and (15, 7) each fit in 520 row bytes, but not together, and
+    # (16, 6) leaves no room for the 28 of (13, 4): the cache must drop a
+    # large size to keep the small one, or walk it on every call.
+    cache = _cache(monkeypatch, limit=520)
+    for n, k in [(16, 6), (15, 7), (16, 6), (15, 7)]:
+        assert list(_orbit_representatives(n, k)) == _walk(n, k)
+    walks = _walks(monkeypatch)
+    for _ in range(3):
+        assert list(_orbit_representatives(13, 4)) == _walk(13, 4)
+    assert walks == [(13, 4, None)] and _held(cache) <= 520
 
 
 def test_early_refutation_walks_only_a_prefix_of_the_level(monkeypatch):
@@ -161,7 +197,8 @@ def test_early_refutation_walks_only_a_prefix_of_the_level(monkeypatch):
     assert cert.witness == (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 15, 19)
     assert cert.checked_subsets == 137
     # 15,008 orbits in all; the refutation stops in the first block.
-    assert len(cache[24, 12][0]) < 100 and not cache[24, 12][1]
+    kept, complete = _kept(cache, 24, 12)
+    assert len(kept) < 100 and not complete
 
 
 def _outcome(call):
@@ -182,7 +219,7 @@ def _row_orbits(order):
 
 def _plain(call, a, budget):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spark_engine, "_dft_rows", lambda a, coeffs: None)
+        mp.setattr(spark_engine, "_dft_rows", lambda a, coeffs: False)
         return _outcome(lambda: call(a, budget))
 
 
@@ -206,3 +243,17 @@ def test_spark_orbit_sweep_matches_plain_sweep_at_every_budget(order):
         for rows in members:
             got = _outcome(lambda: spark(dft_submatrix(order, rows)))
             assert got == expected[DEFAULT_BUDGET], rows
+
+
+# Row sets of the 64th DFT, full spark and refuted at sizes 2 and 3.
+_ROWS_64 = [(0, 1), (0, 3), (0, 32), (1, 3), (0, 16), (0, 1, 2), (0, 1, 3), (0, 2, 4),
+            (0, 1, 33), (1, 5, 9), (3, 7, 30), (0, 16, 32)]
+
+
+@pytest.mark.parametrize("rows", _ROWS_64, ids=lambda rows: ",".join(map(str, rows)))
+def test_orbit_sweep_matches_plain_sweep_at_order_64(rows):
+    # Masks of 64 columns use all 64 bits of uint64.
+    a = dft_submatrix(64, rows)
+    assert spark_engine._dft_rows(a, spark_engine._integral_coeffs(a))
+    for call in (is_full_spark, spark):
+        assert _outcome(lambda: call(a, DEFAULT_BUDGET)) == _plain(call, a, DEFAULT_BUDGET)
