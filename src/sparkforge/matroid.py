@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import BadK, CapExceeded, ShapeError
 from .exact_linalg import ExactMatrix
-from .spark_engine import DEFAULT_BUDGET, _first_dependent, _subset_search, spark
+from .spark_engine import DEFAULT_BUDGET, _first_dependent, spark
 
 __all__ = [
     "BipartiteGraph",
@@ -160,26 +160,48 @@ class GirthResult:
         }
 
 
+def _first_violation(masks: list[int], k: int) -> tuple[int, ...] | None:
+    """The lexicographically first k-subset whose neighbourhood has < k vertices.
+
+    A depth-first search over ascending prefixes carries the union of their
+    neighbourhood bitmasks and drops a prefix once that union has k vertices:
+    a neighbourhood only grows, so no extension of it is a dependent k-set.
+    Prefixes are taken in lexicographic order, so the first leaf reached is
+    the answer.  Every prefix tested extends to some k-subset, and a k-subset
+    has k prefixes, so a level costs at most k * C(n, k) steps.
+    """
+    n = len(masks)
+    prefix, unions = [], [0]
+    stack = [iter(range(n - k + 1))]
+    while stack:
+        for e in stack[-1]:
+            union = unions[-1] | masks[e]
+            if union.bit_count() < k:
+                if len(prefix) == k - 1:
+                    return (*prefix, e)
+                prefix.append(e)
+                unions.append(union)
+                stack.append(iter(range(e + 1, n - k + len(prefix) + 1)))
+                break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+                unions.pop()
+    return None
+
+
 def hall_girth(g: BipartiteGraph, budget: int = DEFAULT_BUDGET) -> GirthResult:
-    """Exact girth by checking Hall's condition on ascending subset sizes.
+    """Exact girth by Hall's condition, in size-then-lexicographic order.
 
     A subset C is dependent as soon as its total neighborhood has at most
     |C| - 1 vertices; the first such C in size-then-lexicographic order is
-    the witness.
+    the witness.  Each size is searched by _first_violation under the budget
+    rule of the subset sweep.
     """
     n = g.ground_size
-    masks = [0] * n
-    for e, nbrs in enumerate(g.adj):
-        for v in nbrs:
-            masks[e] |= 1 << v
-
-    def dependent(combo):
-        union = 0
-        for e in combo:
-            union |= masks[e]
-        return union.bit_count() < len(combo)
-
-    girth, witness, _ = _first_dependent(n, n, budget, _subset_search(n, dependent))
+    masks = [sum(1 << v for v in nbrs) for nbrs in g.adj]
+    girth, witness, _ = _first_dependent(n, n, budget, lambda k: _first_violation(masks, k))
     return GirthResult(girth=girth, ground_size=n, witness=witness, method="hall_oracle")
 
 

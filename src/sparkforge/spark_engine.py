@@ -192,13 +192,6 @@ def _first_dependent(
     return max_k + 1, None, checked
 
 
-def _subset_search(n: int, dependent):
-    """A level search over range(n) that tests one subset at a time."""
-    # filter() drives the level from C, which keeps the per-subset cost of a
-    # cheap test such as Hall's close to that of an inline loop.
-    return lambda k: next(filter(dependent, itertools.combinations(range(n), k)), None)
-
-
 def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
     """Exact spark by the size-then-lex sweep, each level searched mod p.
 
@@ -594,7 +587,10 @@ def numeric_spark_probe(
         smax = float(s[0])
         return smax == 0.0 or float(s[-1]) <= tol * smax * max(sub.shape)
 
-    k, witness, checked = _first_dependent(n, min(m, n), budget, _subset_search(n, dependent))
+    def search(k):
+        return next(filter(dependent, itertools.combinations(range(n), k)), None)
+
+    k, witness, checked = _first_dependent(n, min(m, n), budget, search)
     return SparkCertificate(
         spark=k, rows=m, cols=n, witness=witness,
         checked_subsets=checked, mode="numeric", budget=budget,

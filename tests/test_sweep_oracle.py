@@ -21,6 +21,8 @@ from sparkforge import (
     BipartiteGraph,
     ExactMatrix,
     ExactScalar,
+    SimpleGraph,
+    clique_gadget,
     det_exact,
     hall_girth,
     numeric_spark_probe,
@@ -156,6 +158,25 @@ def test_hall_girth_matches_union_oracle_at_every_level_boundary():
             for _ in range(ground)
         )
         graphs.append(BipartiteGraph(ground, right, adj))
+    k4_girths = {}
+    # 4-clique gadgets (more elements than right vertices), with and without
+    # a K4: a graph on two colour classes has no triangle, let alone a K4.
+    for vertices in (6, 7, 8):
+        pairs = list(itertools.combinations(range(vertices), 2))
+        split = list(itertools.product(range(0, vertices, 2), range(1, vertices, 2)))
+        k4 = list(itertools.combinations(sorted(rng.sample(range(vertices), 4)), 2))
+        others = rng.sample([p for p in pairs if p not in k4], vertices - 1)
+        for edges, has_k4 in ((rng.sample(split, vertices + 3), False), (k4 + others, True)):
+            gadget = clique_gadget(SimpleGraph(vertices, tuple(edges)), 4)
+            assert gadget.ground_size > gadget.right_size
+            graphs.append(gadget)
+            k4_girths[gadget] = has_k4
+    # Free matroids whose ground set fits into the right side: a matching, a
+    # path, and one vertex per element, where the search prunes nothing.
+    for n in (1, 4, 7, 10):
+        graphs.append(BipartiteGraph(n, 2 * n, tuple((2 * e, 2 * e + 1) for e in range(n))))
+        graphs.append(BipartiteGraph(n, n + 1, tuple((e, e + 1) for e in range(n))))
+        graphs.append(BipartiteGraph(n, n, tuple((e,) for e in range(n))))
     for g in graphs:
         n = g.ground_size
 
@@ -175,6 +196,8 @@ def test_hall_girth_matches_union_oracle_at_every_level_boundary():
                 return res.girth, res.witness
 
             assert _outcome(run) == expected, (g, budget)
+            if budget == DEFAULT_BUDGET and g in k4_girths:
+                assert (expected[1] == 6) == k4_girths[g], g  # girth 6 is a K4
 
 
 def _embedded(a, order):
