@@ -39,6 +39,10 @@ BUDGET_ENV = "SPARKFORGE_BUDGET"
 # square of the order past it.
 MAX_ORDER = 2048
 
+# Most row entries `orbit` prints: 10^6, as for the adjacency entries of
+# `clique-gadget`.
+MAX_ORBIT_ENTRIES = matroid.MAX_GADGET_ENTRIES
+
 
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
@@ -291,7 +295,8 @@ def _cmd_dft_analyze(args):
 
 def _cmd_orbit(args):
     index_set = _index_set(args.n, args)
-    members = sorted(list(s) for s in dft_analysis.closure_orbit(index_set, cap=args.cap))
+    orbit = dft_analysis.closure_orbit(index_set, cap=args.cap, max_entries=MAX_ORBIT_ENTRIES)
+    members = sorted(list(s) for s in orbit)
     return {"n": args.n, "seed_rows": list(index_set), "size": len(members), "orbit": members}, 0
 
 

@@ -162,7 +162,9 @@ def full_spark_prime_power(m: IndexSet) -> PrimePowerVerdict:
     return PrimePowerVerdict(full_spark=result.uniform, uniformity=result)
 
 
-def closure_orbit(m: IndexSet, cap: int = ORBIT_CAP) -> frozenset[IndexSet]:
+def closure_orbit(
+    m: IndexSet, cap: int = ORBIT_CAP, max_entries: int | None = None
+) -> frozenset[IndexSet]:
     """Orbit of an index set under translation, unit dilation, complement.
 
     These are exactly the operations that preserve the full-spark property
@@ -173,8 +175,11 @@ def closure_orbit(m: IndexSet, cap: int = ORBIT_CAP) -> frozenset[IndexSet]:
     complements of those sets.  S is the smaller of the seed and its
     complement, which share one orbit, and t runs up to S's translation
     period, the least d | N with S + d = S, the same for every u*S.
-    Proper nonempty sets only; an orbit of more than ``cap`` members
-    raises BudgetExceeded.
+    Proper nonempty sets only; an orbit of more than ``cap`` members, or
+    of more than ``max_entries`` entries over its members when that is
+    given, raises BudgetExceeded.  Each member comes with its complement,
+    so the entries number |orbit| * N / 2, and the images are counted as
+    they are listed: most such orbits are refused before any complement.
     """
     n = m.order
     if not m.members or len(m.members) == n:
@@ -184,15 +189,20 @@ def closure_orbit(m: IndexSet, cap: int = ORBIT_CAP) -> frozenset[IndexSet]:
     dilates = {tuple(sorted(u * x % n for x in seed)) for u in range(1, n) if math.gcd(u, n) == 1}
     # A complement is a new member for every image when the sizes differ.
     share = 2 if 2 * len(seed) < n else 1
+
+    def refuse_past(members):
+        if members > cap:
+            raise BudgetExceeded(f"orbit exceeds cap {cap}")
+        if max_entries is not None and members * n > 2 * max_entries:
+            raise BudgetExceeded(f"orbit exceeds {max_entries} row entries")
+
     images = set()
     for base in dilates:
         for t in range(period):
             images.add(tuple(sorted((x + t) % n for x in base)))
-            if share * len(images) > cap:
-                raise BudgetExceeded(f"orbit exceeds cap {cap}")
+            refuse_past(share * len(images))
     orbit = images | {tuple(sorted(set(range(n)).difference(s))) for s in images}
-    if len(orbit) > cap:
-        raise BudgetExceeded(f"orbit exceeds cap {cap}")
+    refuse_past(len(orbit))
     return frozenset(IndexSet(n, s) for s in orbit)
 
 

@@ -18,12 +18,15 @@ monotone), and so does Hall girth, whose top level is the whole ground set.
 The numeric probe and Hall girth test one subset at a time.  spark, and
 the full-spark check of the single size M, search in blocks mod p: the
 matrix is mapped to F_p, p = 1 (mod N) a prime above 2^30, under each of
-the phi(N) ring maps Z[w] -> F_p, and a block is eliminated with numpy.
-Rank mod p never exceeds the true rank, so one image of full rank proves a
-subset independent.  A subset deficient under every map is dependent only
-if a norm-bound proof says so: further primes are taken until their
-product exceeds a Hadamard bound on every conjugate of every minor, and the
-subset stays deficient under all of their maps.  No Q(w) arithmetic runs.
+the phi(N) ring maps Z[w] -> F_p, its rows are mixed once by a fixed
+seeded matrix R, and a block is eliminated with numpy without row
+exchanges.  A subset whose k x k image R_k A_S has a nonzero last pivot is
+independent, whatever R is: rank (R_k A_S) <= rank A_S.  A random R makes
+the other outcome, a flag, rare for independent subsets.  A subset flagged
+under every map is dependent only if a norm-bound proof says so: it is
+eliminated with pivoting mod p and then mod further primes, until
+their product exceeds a Hadamard bound on every conjugate of every minor,
+and it stays deficient under all of their maps.  No Q(w) arithmetic runs.
 
 When the matrix is rows of the N-th DFT over all N columns, the rank of a
 column subset is constant on its orbit under the affine maps c -> u c + t
@@ -217,9 +220,10 @@ def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
 
 
 # Subsets are decided modulo primes p = 1 (mod N) above 2^30, so every
-# residue stays below 2^31 and each fraction-free update pk*x - a*y fits in
-# int64.  Blocks of stacked subsets start small, so that early refutations
-# stay cheap, and double up to about _BLOCK_ENTRIES int64 entries.
+# residue, of an image or of the row mixing, stays below 2^31 and each
+# fraction-free update pk*x - a*y fits in int64.  Blocks of stacked subsets
+# start small, so that early refutations stay cheap, and double up to about
+# _BLOCK_ENTRIES int64 entries.
 _PRIME_FLOOR = 1 << 30
 _FIRST_BLOCK = 32
 _BLOCK_ENTRIES = 1 << 16
@@ -290,62 +294,112 @@ def _integral_coeffs(a: ExactMatrix) -> np.ndarray:
     return coeffs.swapaxes(0, 1)
 
 
-# _column_images splits each residue (below 2^31) into 16-bit limbs and
-# multiplies the limbs by w in int64.  A product stays below 2^47, so a sum
-# of fewer than 2^16 of them is below 2^63 - 2^48 + 2^31, and the reduced
+# _mulmod splits each residue of its right factor (below 2^31) into 16-bit
+# limbs and multiplies the limbs in int64.  A product stays below 2^47, so a
+# sum of fewer than 2^16 of them is below 2^63 - 2^48 + 2^31, and the reduced
 # high sum shifted back (below 2^47) can be added to the low one.
 _LIMB_BITS = 16
+_MAX_TERMS = (1 << _LIMB_BITS) - 1
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, exact in int64, for residues a and b mod p < 2^31."""
+    if b.shape[0] > _MAX_TERMS:
+        raise ValueError(f"{b.shape[0]} terms overflow the int64 limb sums")
+    lo = a @ (b & ((1 << _LIMB_BITS) - 1))
+    out = a @ (b >> _LIMB_BITS)
+    out %= p
+    out <<= _LIMB_BITS
+    out += lo
+    out %= p
+    return out
 
 
 def _column_images(coeffs: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
     """Images of the columns under every map of p: shape (maps, cols, rows).
 
     ``coeffs`` has shape (cols, rows, phi) and w shape (maps, phi).  Each
-    image is sum_t c_t w[k, t] mod p, taken in one matmul per limb.
+    image is sum_t c_t w[k, t] mod p, taken in one _mulmod.
     """
-    phi = w.shape[1]
-    if phi >= 1 << _LIMB_BITS:
-        raise ValueError(f"{phi} basis coefficients overflow the int64 limb sums")
     cols, rows = coeffs.shape[:2]
-    residues = (coeffs % p).astype(np.int64).reshape(cols * rows, phi).T
-    lo = w @ (residues & ((1 << _LIMB_BITS) - 1))
-    images = w @ (residues >> _LIMB_BITS)
-    images %= p
-    images <<= _LIMB_BITS
-    images += lo
-    images %= p
-    return images.reshape(w.shape[0], cols, rows)
+    residues = (coeffs % p).astype(np.int64).reshape(cols * rows, w.shape[1]).T
+    return _mulmod(w, residues, p).reshape(w.shape[0], cols, rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _row_mixing(k: int, m: int, p: int) -> np.ndarray:
+    """The first k rows of a fixed, seeded random m x m matrix mod p."""
+    rng = random.Random(0)
+    mixing = np.array([rng.randrange(p) for _ in range(k * m)], dtype=np.int64).reshape(k, m)
+    mixing.flags.writeable = False  # shared by every caller through the cache
+    return mixing
+
+
+def _mixed_images(images: np.ndarray, p: int) -> np.ndarray:
+    """images (maps, cols, rows) with each column a_j taken to R a_j mod p,
+    R = _row_mixing(K, rows, p), K = min(rows, cols): shape (maps, cols, K).
+
+    The product runs over the rows in runs of _MAX_TERMS, so any row count
+    keeps every int64 sum exact.
+    """
+    n, m = images.shape[1:]
+    mixing = _row_mixing(min(m, n), m, p)
+    mixed = _mulmod(images[:, :, :_MAX_TERMS], mixing[:, :_MAX_TERMS].T, p)
+    for s in range(_MAX_TERMS, m, _MAX_TERMS):
+        mixed += _mulmod(images[:, :, s : s + _MAX_TERMS], mixing[:, s : s + _MAX_TERMS].T, p)
+        mixed %= p
+    return mixed
 
 
 def _vanishing_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
-    """Flags, per m x k matrix in the stack (k <= m), whose rank mod p is below k.
+    """Flags, per m x k matrix in the stack (1 <= k <= m), whose rank mod p is below k.
 
     Fraction-free elimination column by column, pivoting on the first
-    nonzero entry: a step with a nonzero pivot scales rows by a unit, so no
-    inverse is needed.  The stack is overwritten.
+    nonzero entry t: every row x, the pivot row y included, becomes
+    t*x - x0*y without its first entry.  The pivot row becomes zero, and a
+    nonzero pivot scales the other rows by a unit, so no inverse is needed.
+    A zero column leaves only zeros after it, so a matrix is deficient
+    exactly when its last column is zero once reached.  The stack is
+    overwritten.  Only single subsets in _dependent_by_norm take this
+    kernel; the block search takes _last_pivot_vanishes.
     """
-    deficient = np.zeros(stack.shape[0], dtype=bool)
     at = np.arange(stack.shape[0])
-    for _ in range(stack.shape[2]):
-        nonzero = stack[:, :, 0] != 0
-        deficient |= ~nonzero.any(axis=1)
-        pivot = nonzero.argmax(axis=1)
-        top = stack[at, pivot]
-        stack[at, pivot] = stack[:, 0]
-        rest = top[:, :1, None] * stack[:, 1:, 1:]
-        rest -= stack[:, 1:, :1] * top[:, None, 1:]
+    for _ in range(stack.shape[2] - 1):
+        top = stack[at, (stack[:, :, 0] != 0).argmax(axis=1)]
+        rest = top[:, :1, None] * stack[:, :, 1:]
+        rest -= stack[:, :, :1] * top[:, None, 1:]
         stack = np.remainder(rest, p, out=rest)
-    return deficient
+    return ~stack.any(axis=(1, 2))
+
+
+def _last_pivot_vanishes(stack: np.ndarray, p: int) -> np.ndarray:
+    """Flags, per k x k matrix in the stack, whose last pivot is 0 mod p.
+
+    Fraction-free elimination without row exchanges: each step replaces A
+    by a00 A11 - a10 a01, whose determinant is a00^(k-2) det A.  So the
+    last pivot is det A times powers of the earlier pivots, and a matrix
+    left unflagged is invertible mod p.  An invertible matrix is flagged
+    only when one of its leading minors of size k-2 or less vanishes.  The
+    stack is overwritten; k = 0 leaves no entry and no flag.
+    """
+    for _ in range(stack.shape[1] - 1):
+        rest = stack[:, :1, :1] * stack[:, 1:, 1:]
+        rest -= stack[:, 1:, :1] * stack[:, :1, 1:]
+        stack = np.remainder(rest, p, out=rest)
+    return (stack == 0).any(axis=(1, 2))
 
 
 def _block_search(a: ExactMatrix):
     """A level search over the columns of a, in lexicographic blocks mod p.
 
-    Each size-k subset of a block is stacked as an m x k image under every
-    map of the first prime p; one image of rank k proves the subset
-    independent.  The first subset whose images are all deficient goes to
-    _dependent_by_norm, and if that finds an image of rank k under a
-    further prime (p divides every k x k minor) the search goes on.
+    The columns' images under every map of the first prime p are mixed
+    once (_mixed_images), and each size-k subset S of a block is stacked
+    as the k x k matrix R_k A_S, R_k the first k rows of the mixing.  A
+    nonzero last pivot (_last_pivot_vanishes) proves S independent.  The
+    first subset flagged under every map goes to _dependent_by_norm, which
+    eliminates it again with pivoting, mod p and further primes; if
+    one image there has rank k (a false flag, or p divides every k x k
+    minor) the search goes on.
 
     When a is DFT rows over all N columns (_dft_rows), the rank of a
     column subset is constant on its orbit under the affine maps
@@ -359,6 +413,7 @@ def _block_search(a: ExactMatrix):
     images = _column_images(coeffs, p, w)
     orbits = _dft_rows(a, coeffs)
     phi, n, m = images.shape
+    mixed = _mixed_images(images, p)
     # sum_i L1(a_ij)^2 for each column j, computed at the first candidate
     # only, since most sweeps have none and entries may be large.
     col_norms = []
@@ -368,7 +423,7 @@ def _block_search(a: ExactMatrix):
             l1 = np.abs(coeffs).sum(axis=2)
             col_norms.extend((l1 * l1).sum(axis=1).tolist())
         h2 = math.prod(col_norms[j] for j in cols)
-        return _dependent_by_norm(coeffs[list(cols)], h2, a.order, p)
+        return _dependent_by_norm(coeffs[list(cols)], h2, a.order, images[:, list(cols)])
 
     def search(k):
         cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * k))
@@ -376,9 +431,10 @@ def _block_search(a: ExactMatrix):
         size = min(_FIRST_BLOCK, cap)
         while block := list(itertools.islice(subsets, size)):
             idx = np.array(block, dtype=np.intp).reshape(len(block), k)
-            stack = images[:, idx].swapaxes(2, 3).reshape(phi * len(block), m, k)
-            deficient = _vanishing_mod_p(stack, p).reshape(phi, len(block)).all(axis=0)
-            for j in np.flatnonzero(deficient):
+            # [map, subset, column, row]: R_k A_S transposed, with its leading minors.
+            stack = mixed[:, idx, :k].reshape(phi * len(block), k, k)
+            flagged = _last_pivot_vanishes(stack, p).reshape(phi, len(block)).all(axis=0)
+            for j in np.flatnonzero(flagged):
                 if dependent(block[j]):
                     return block[j]
             size = min(2 * size, cap)
@@ -510,26 +566,32 @@ def _orbit_representatives(n: int, k: int):
                 del _orbit_cache[next(iter(_orbit_cache))]
 
 
-def _dependent_by_norm(coeffs: np.ndarray, h2: int, order: int, p: int) -> bool:
-    """Decide k columns of Z[w] entries, rank deficient under every map of p.
+def _dependent_by_norm(coeffs: np.ndarray, h2: int, order: int, first: np.ndarray) -> bool:
+    """Decide k columns of Z[w] entries, flagged by the block search.
 
-    ``coeffs`` has shape (k, rows, phi), and ``h2`` is the product over the
-    columns of sum_i L1(a_ij)^2, which bounds |sigma(alpha)|^2 for every
-    k x k minor alpha and every embedding sigma (Hadamard's inequality).
-    A prime = 1 (mod order) splits completely in Z[w], so a minor that
-    vanishes under all phi maps of each prime taken is divisible by their
-    product P, and |Norm alpha| >= P^phi unless alpha = 0.  Primes are
-    therefore added until P^2 > h2: the columns are dependent if they stay
-    deficient under every map of every prime, and independent as soon as
-    one image has rank k (Cabay and Lam, 1977).
+    ``coeffs`` has shape (k, rows, phi), and ``first`` holds their images
+    under the first prime, shape (maps, k, rows); it is overwritten.
+    ``h2`` is the product over the columns of sum_i L1(a_ij)^2, which
+    bounds |sigma(alpha)|^2 for every k x k minor alpha and every
+    embedding sigma (Hadamard's inequality).  A prime = 1 (mod order)
+    splits completely in Z[w], so a minor that vanishes under all phi maps
+    of each prime taken is divisible by their product P, and
+    |Norm alpha| >= P^phi unless alpha = 0.  Primes are therefore taken
+    from the first, the block search's own, until P^2 > h2, and the
+    images under each are eliminated with pivoting (_vanishing_mod_p):
+    the columns are dependent if they stay deficient under every map of
+    every prime, and independent as soon as one image has rank k (Cabay
+    and Lam, 1977).  The block search's flag is not trusted, so the first
+    prime is checked here too.
     """
-    modulus, index = p, 0
+    modulus, index = 1, 0
     while modulus * modulus <= h2:
-        index += 1
         q, w = _modular_maps(order, index)
-        if not _vanishing_mod_p(_column_images(coeffs, q, w).swapaxes(1, 2), q).all():
+        images = _column_images(coeffs, q, w) if index else first
+        if not _vanishing_mod_p(images.swapaxes(1, 2), q).all():
             return False
         modulus *= q
+        index += 1
     return True
 
 

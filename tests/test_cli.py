@@ -172,6 +172,15 @@ def test_orbit_cap_exits_three(capsys):
     assert code == 3 and doc is None and "error" in err
 
 
+@pytest.mark.parametrize("order", [1001, 2048])
+def test_orbit_past_the_entry_bound_exits_three(capsys, order):
+    # N singletons and their complements: 2N members and N^2 entries, past
+    # 10^6 from N = 1001 on; refused before any complement is built.
+    code, doc, err = _run(capsys, ["orbit", "--n", str(order), "--rows", "0"])
+    assert code == 3 and doc is None
+    assert err == f"error: orbit exceeds {cli.MAX_ORBIT_ENTRIES} row entries\n"
+
+
 def test_rip_check_threshold(capsys):
     argv = ["rip-check", "--n", "8", "--rows", "0,1,4", "--k", "2"]
     code, doc, _ = _run(capsys, argv + ["--delta", "0.3"])

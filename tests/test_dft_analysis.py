@@ -257,6 +257,12 @@ def test_closure_orbit_is_the_image_set_of_all_affine_maps(order, rows):
     assert {s.members for s in closure_orbit(m, cap=len(want))} == want
     with pytest.raises(BudgetExceeded, match=f"^orbit exceeds cap {len(want) - 1}$"):
         closure_orbit(m, cap=len(want) - 1)
+    # Each member comes with its complement: N / 2 entries a member.
+    entries = sum(map(len, want))
+    assert 2 * entries == order * len(want)
+    assert {s.members for s in closure_orbit(m, max_entries=entries)} == want
+    with pytest.raises(BudgetExceeded, match=f"^orbit exceeds {entries - 1} row entries$"):
+        closure_orbit(m, max_entries=entries - 1)
 
 
 def test_closure_orbit_guards():

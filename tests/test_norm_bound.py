@@ -29,7 +29,7 @@ st = hypothesis.strategies
 
 
 def _primes_seen(monkeypatch):
-    """Record the prime of every elimination the engine runs."""
+    """Record the prime of every elimination the norm-bound proof runs."""
     seen = []
     eliminate = spark_engine._vanishing_mod_p
 
@@ -192,13 +192,13 @@ def test_dft_rows_are_detected_and_sweep_fewer_subsets(monkeypatch):
     a = dft_submatrix(13, (0, 1, 2, 3))
     assert spark_engine._dft_rows(a, _integral_coeffs(a)) is True and _is_dft(a)
     stacked = []
-    eliminate = spark_engine._vanishing_mod_p
+    eliminate = spark_engine._last_pivot_vanishes
 
     def counting(stack, p):
         stacked.append(stack.shape[0] // euler_phi(13))
         return eliminate(stack, p)
 
-    monkeypatch.setattr(spark_engine, "_vanishing_mod_p", counting)
+    monkeypatch.setattr(spark_engine, "_last_pivot_vanishes", counting)
     cert = is_full_spark(a)
     # 715 subsets fall into 7 affine orbits; the certificate counts them all.
     assert cert.full_spark and cert.checked_subsets == math.comb(13, 4) == 715

@@ -5,8 +5,9 @@ subset, sizes 1, 2, ... in turn, each in lexicographic order, a size entered
 only when its whole level fits in what is left of the budget.  The engine's
 certificate, or its BudgetExceeded message and k_reached, must equal the
 oracle's.  The tests also pin down that every rank deficiency mod p, and
-only such a deficiency, reaches the norm-bound proof, and the rectangular
-elimination kernel against a plain Gauss-Jordan rank mod p.
+only such a deficiency, reaches the norm-bound proof, and both elimination
+kernels, with pivoting and without row exchanges, against a plain
+Gauss-Jordan rank mod p.
 """
 
 import functools
@@ -24,7 +25,10 @@ from sparkforge.exact_linalg import ExactMatrix, dft_submatrix, rank_exact
 from sparkforge.spark_engine import (
     DEFAULT_BUDGET,
     SparkCertificate,
+    _last_pivot_vanishes,
+    _mixed_images,
     _modular_maps,
+    _row_mixing,
     _vanishing_mod_p,
     spark,
 )
@@ -288,11 +292,12 @@ def test_refuted_dft_sweeps_make_no_q_w_inverse(monkeypatch):
     assert inverses == []
 
 
-def test_rectangular_kernel_matches_rank_mod_p():
+def _kernel_cases(seed):
+    """Batches of m x k matrices mod p (k <= m) as lists of rows, with
+    entries near 0 and p and zero, repeated and combined columns."""
     p = _modular_maps(1)[0]
-    rng = random.Random(17)
+    rng = random.Random(seed)
     near_p = [0, 1, 2, p - 1, p - 2, (p - 1) // 2]
-    flags = set()
     for _ in range(200):
         m = rng.randint(1, 6)
         k = rng.randint(1, m)
@@ -314,9 +319,73 @@ def test_rectangular_kernel_matches_rank_mod_p():
                 i, j, s = *rng.sample(range(k), 2), rng.randrange(1, p)
                 cols[j] = [(s * x + y) % p for x, y in zip(cols[i], cols[(i + 1) % k])]
             mats.append([list(r) for r in zip(*cols)])
-        stack = np.array(mats, dtype=np.int64).reshape(batch, m, k)
+        yield m, k, mats
+
+
+def test_rectangular_kernel_matches_rank_mod_p():
+    p = _modular_maps(1)[0]
+    flags = set()
+    for m, k, mats in _kernel_cases(17):
+        stack = np.array(mats, dtype=np.int64).reshape(len(mats), m, k)
         got = _vanishing_mod_p(stack.copy(), p)
         expected = [_rank_mod_p(rows, p) < k for rows in mats]
         assert got.tolist() == expected, mats
         flags.update(expected)
     assert flags == {True, False}
+
+
+def test_block_kernel_flags_every_deficient_image():
+    """The kernel without row exchanges on R_k A, R the seeded mixing,
+    against the rank of A mod p."""
+    p = _modular_maps(1)[0]
+    flags = set()
+    for m, k, mats in _kernel_cases(17):
+        # The block search takes the first k rows of the mixing it draws for
+        # min(rows, cols) rows.
+        assert (_row_mixing(m, m, p)[:k] == _row_mixing(k, m, p)).all()
+        # The batch on the axis of the maps: (batch, k columns, m rows).
+        images = np.array(mats, dtype=np.int64).reshape(len(mats), m, k).swapaxes(1, 2)
+        flagged = _last_pivot_vanishes(_mixed_images(images, p), p).tolist()
+        ranks = [_rank_mod_p(rows, p) for rows in mats]
+        assert all(f for f, r in zip(flagged, ranks) if r < k), mats
+        assert all(r == k for f, r in zip(flagged, ranks) if not f), mats
+        # Under the seeded mixing this sample meets no false flag.
+        assert flagged == [r < k for r in ranks], mats
+        flags.update(flagged)
+    assert flags == {True, False}
+
+
+def test_mixing_stays_exact_past_2_16_rows():
+    p = _modular_maps(1)[0]
+    m = (1 << 16) + 3
+    images = np.full((1, 1, m), p - 1, dtype=np.int64)
+    want = sum(_row_mixing(1, m, p)[0].tolist()) * (p - 1) % p
+    assert _mixed_images(images, p).tolist() == [[[want]]]
+    a = ExactMatrix.from_rows([[1, i % 2] for i in range(m)])
+    cert = spark(a)
+    assert cert.sentinel and cert.checked_subsets == 3
+
+
+def test_zero_mixing_flags_every_subset_and_changes_no_certificate(monkeypatch):
+    """With R = 0 every subset reaches _dependent_by_norm, whose own
+    elimination mod the first prime then decides it."""
+    mats = [
+        ExactMatrix.from_rows([[b**i for b in range(1, 7)] for i in range(3)]),
+        ExactMatrix.from_rows([[1, 2, 3, 3, 5], [1, 4, 9, 9, 25]]),  # a repeated column
+        dft_submatrix(7, (0, 1, 3)).column_submatrix(range(6)),  # Z[w], the plain sweep
+        dft_submatrix(10, (0, 1, 3, 4)),  # DFT rows, the orbit sweep, refuted
+        dft_submatrix(13, (0, 1, 2, 3)),  # the orbit sweep, full spark
+    ]
+    want = [(spark(a), spark_engine.is_full_spark(a)) for a in mats]
+    flags = []
+    kernel = spark_engine._last_pivot_vanishes
+
+    def recording(stack, p):
+        flagged = kernel(stack, p)
+        flags.extend(flagged.tolist())
+        return flagged
+
+    monkeypatch.setattr(spark_engine, "_row_mixing", lambda k, m, p: np.zeros((k, m), np.int64))
+    monkeypatch.setattr(spark_engine, "_last_pivot_vanishes", recording)
+    assert [(spark(a), spark_engine.is_full_spark(a)) for a in mats] == want
+    assert flags and all(flags)

@@ -146,14 +146,14 @@ def _count_stacked(monkeypatch):
     """Record (k, subsets) per block the level search stacks mod the first prime."""
     p = _modular_maps(1)[0]
     blocks = []
-    vanishing = spark_engine._vanishing_mod_p
+    vanishing = spark_engine._last_pivot_vanishes
 
     def counting(stack, q):
         if q == p:
             blocks.append((stack.shape[2], stack.shape[0]))
         return vanishing(stack, q)
 
-    monkeypatch.setattr(spark_engine, "_vanishing_mod_p", counting)
+    monkeypatch.setattr(spark_engine, "_last_pivot_vanishes", counting)
     return blocks
 
 
