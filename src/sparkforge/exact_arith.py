@@ -283,6 +283,14 @@ def root_power(order: int, k: int) -> CycInt:
     return CycInt(order, ring.rows[t - ring.phi])
 
 
+@functools.lru_cache(maxsize=16)
+def _root_table(order: int) -> tuple[tuple["ExactScalar", ...], dict[tuple[int, ...], int]]:
+    """The scalars w^t for t = 0..order-1, and the map from their
+    coefficient tuples to t (distinct, since the power basis is a basis)."""
+    scalars = tuple(ExactScalar(root_power(order, t)) for t in range(order))
+    return scalars, {s.num.coeffs: t for t, s in enumerate(scalars)}
+
+
 def _bareiss(m: list[list], ncols: int, stop_at_gap: bool) -> tuple[int, int, object]:
     """Fraction-free echelon of the rows m over Z or Z[w], in place.
 

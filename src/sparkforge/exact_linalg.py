@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import IndexOutOfRange, NonFiniteEntry, ShapeError, SideLimitExceeded
-from .exact_arith import CycInt, ExactScalar, _bareiss, root_power
+from .exact_arith import CycInt, ExactScalar, _bareiss, _root_table
 
 __all__ = ["ExactMatrix", "det_exact", "rank_exact", "dft_submatrix"]
 
@@ -200,8 +200,8 @@ def dft_submatrix(order: int, rows, cols=None) -> ExactMatrix:
         raise IndexOutOfRange("row index out of residue range")
     if any(c < 0 or c >= order for c in cols):
         raise IndexOutOfRange("column index out of residue range")
-    # One scalar per distinct power, shared by the entries that hold it.
-    powers = [m * n % order for m in rows for n in cols]
-    scalars = {t: ExactScalar(root_power(order, t)) for t in set(powers)}
-    ents = [scalars[t] for t in powers]
+    # Entries are the shared scalars of the per-order root table, which the
+    # block search maps to their exponents once per distinct object.
+    roots = _root_table(order)[0]
+    ents = [roots[m * n % order] for m in rows for n in cols]
     return ExactMatrix(len(rows), len(cols), ents, order)

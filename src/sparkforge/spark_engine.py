@@ -20,20 +20,24 @@ the full-spark check of the single size M, search in blocks mod p: the
 matrix is mapped to F_p, p = 1 (mod N) a prime above 2^30, under each of
 the phi(N) ring maps Z[w] -> F_p, its rows are mixed once by a fixed
 seeded matrix R, and a block is eliminated with numpy without row
-exchanges.  A subset whose k x k image R_k A_S has a nonzero last pivot is
-independent, whatever R is: rank (R_k A_S) <= rank A_S.  A random R makes
-the other outcome, a flag, rare for independent subsets.  A subset flagged
-under every map is dependent only if a norm-bound proof says so: it is
-eliminated with pivoting mod p and then mod further primes, until
-their product exceeds a Hadamard bound on every conjugate of every minor,
-and it stays deficient under all of their maps.  No Q(w) arithmetic runs.
+exchanges.  A matrix of roots of unity w^t, such as a DFT submatrix, is
+mapped by one gather from the images of the N powers of w, any other
+matrix through its power-basis coefficients.  A subset whose k x k image
+R_k A_S has a nonzero last pivot is independent, whatever R is:
+rank (R_k A_S) <= rank A_S.  A random R makes the other outcome, a flag,
+rare for independent subsets.  A subset flagged under every map is
+dependent only if a norm-bound proof says so: it is eliminated with
+pivoting mod p and then mod further primes, until their product exceeds a
+Hadamard bound on every conjugate of every minor, and it stays deficient
+under all of their maps.  No Q(w) arithmetic runs.
 
-When the matrix is rows of the N-th DFT over all N columns, the rank of a
-column subset is constant on its orbit under the affine maps c -> u c + t
-of Z_N (u a unit): the map scales each row by a root of unity and applies
-the Galois map w -> w^u.  The block search then stacks only the lex-min
-member of each orbit, in lex order, which finds the same first dependent
-subset; certificates and budgets count every subset as before.
+When the matrix is rows of the N-th DFT over all N columns, read off the
+exponents of its roots, the rank of a column subset is constant on its
+orbit under the affine maps c -> u c + t of Z_N (u a unit): the map scales
+each row by a root of unity and applies the Galois map w -> w^u.  The
+block search then stacks only the lex-min member of each orbit, in lex
+order, which finds the same first dependent subset; certificates and
+budgets count every subset as before.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .errors import (
     NonFiniteEntry,
     ShapeError,
 )
-from .exact_arith import divisors, euler_phi, root_power
+from .exact_arith import _root_table, divisors, euler_phi
 from .exact_linalg import ExactMatrix
 from .exact_linalg import det_exact, rank_exact  # noqa: F401 (bench/run.py --trace 1 wraps them)
 
@@ -242,16 +246,16 @@ def _is_prime_below_2_31(n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=16)
-def _modular_maps(order: int, index: int = 0) -> tuple[int, np.ndarray]:
-    """(p, w) for the index-th prime p = 1 (mod order) above 2^30.
+def _root_images(order: int, index: int = 0) -> tuple[int, np.ndarray]:
+    """(p, roots) for the index-th prime p = 1 (mod order) above 2^30.
 
-    w[k, i] = g^(e_k * i) mod p over the units e_k mod order, g a primitive
-    order-th root of unity mod p, so row k is the image of the power basis
-    under the ring map Z[w] -> F_p sending w to g^(e_k); these are all
-    phi(order) such maps.
+    roots[k, t] = g^(e_k t) mod p for t in 0..order-1, over the units e_k
+    mod order, g a primitive order-th root of unity mod p: row k is the
+    image of every power w^t under the ring map Z[w] -> F_p sending w to
+    g^(e_k), and these are all phi(order) such maps.
     """
     if index:
-        p = _modular_maps(order, index - 1)[0] + order
+        p = _root_images(order, index - 1)[0] + order
     else:
         p = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order
     while not _is_prime_below_2_31(p):
@@ -263,14 +267,24 @@ def _modular_maps(order: int, index: int = 0) -> tuple[int, np.ndarray]:
         for g in (pow(h, (p - 1) // order, p) for h in itertools.count(2))
         if all(pow(g, d, p) != 1 for d in divisors(order)[:-1])
     )
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * g % p)
     units = [e for e in range(1, order + 1) if math.gcd(e, order) == 1]
-    # Column i is column i-1 times g^(e_k); each product stays below 2^62.
-    step = np.array([pow(g, e, p) for e in units], dtype=np.int64)
-    w = np.ones((len(units), len(units)), dtype=np.int64)
-    for i in range(1, len(units)):
-        w[:, i] = w[:, i - 1] * step % p
-    w.flags.writeable = False  # shared by every caller through the cache
-    return p, w
+    roots = np.array(powers, dtype=np.int64)[np.outer(units, np.arange(order)) % order]
+    roots.flags.writeable = False  # shared by every caller through the cache
+    return p, roots
+
+
+def _modular_maps(order: int, index: int = 0) -> tuple[int, np.ndarray]:
+    """(p, w) for the index-th prime p = 1 (mod order) above 2^30.
+
+    w[k, i] = g^(e_k i) mod p for i < phi(order), the first phi columns of
+    _root_images, so row k is the image of the power basis under the ring
+    map sending w to g^(e_k).
+    """
+    p, roots = _root_images(order, index)
+    return p, roots[:, : roots.shape[0]]
 
 
 def _integral_coeffs(a: ExactMatrix) -> np.ndarray:
@@ -401,6 +415,13 @@ def _block_search(a: ExactMatrix):
     one image there has rank k (a false flag, or p divides every k x k
     minor) the search goes on.
 
+    When every entry is a root of unity w^t (_root_exponents), the map
+    sending w to g^e takes it to g^(e t), so the images are one gather
+    from _root_images, and coefficients are built only for the columns of
+    a flagged subset.  Any other matrix is mapped through its power-basis
+    coefficients (_integral_coeffs, _column_images); the images are the
+    same either way.
+
     When a is DFT rows over all N columns (_dft_rows), the rank of a
     column subset is constant on its orbit under the affine maps
     c -> u c + t of Z_N, so only the lex-min member of each orbit is
@@ -408,22 +429,32 @@ def _block_search(a: ExactMatrix):
     the lex-first dependent subset overall, and the answer is the one the
     full lex sweep gives.
     """
-    coeffs = _integral_coeffs(a)
-    p, w = _modular_maps(a.order, 0)
-    images = _column_images(coeffs, p, w)
-    orbits = _dft_rows(a, coeffs)
+    exponents = _root_exponents(a)
+    if exponents is None:
+        coeffs = _integral_coeffs(a)
+        p, w = _modular_maps(a.order, 0)
+        images = _column_images(coeffs, p, w)
+    else:
+        p, roots = _root_images(a.order, 0)
+        images = roots[:, exponents.T]
+        scalars = _root_table(a.order)[0]
+    orbits = _dft_rows(a, exponents)
     phi, n, m = images.shape
     mixed = _mixed_images(images, p)
-    # sum_i L1(a_ij)^2 for each column j, computed at the first candidate
-    # only, since most sweeps have none and entries may be large.
-    col_norms = []
 
     def dependent(cols):
-        if not col_norms:
-            l1 = np.abs(coeffs).sum(axis=2)
-            col_norms.extend((l1 * l1).sum(axis=1).tolist())
-        h2 = math.prod(col_norms[j] for j in cols)
-        return _dependent_by_norm(coeffs[list(cols)], h2, a.order, images[:, list(cols)])
+        cols = list(cols)
+        if exponents is None:
+            sub = coeffs[cols]
+        else:
+            # The roots' own coefficients, of the candidate's columns only:
+            # a root has denominator 1, so no row is scaled.
+            powers = exponents[:, cols].T.ravel().tolist()
+            flat = itertools.chain.from_iterable([scalars[t].num.coeffs for t in powers])
+            sub = np.fromiter(flat, dtype=object).reshape(len(cols), m, phi)
+        l1 = np.abs(sub).sum(axis=2)
+        h2 = math.prod((l1 * l1).sum(axis=1).tolist())
+        return _dependent_by_norm(sub, h2, a.order, images[:, cols])
 
     def search(k):
         cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * k))
@@ -443,32 +474,43 @@ def _block_search(a: ExactMatrix):
     return search
 
 
+def _root_exponents(a: ExactMatrix) -> np.ndarray | None:
+    """T of shape (rows, cols) with entry (i, j) of a equal to w^T[i, j], or
+    None when a is an integer matrix or some entry is not such a root.
+
+    Each distinct entry object is looked up once, by value, in the root
+    table of its order; a root has denominator 1.
+    """
+    if a.is_integer():
+        return None
+    index = _root_table(a.order)[1]
+    ids = list(map(id, a.entries))
+    exponent = {}
+    for key, e in dict(zip(ids, a.entries)).items():
+        t = index.get(e.num.coeffs) if e.den == 1 else None
+        if t is None:
+            return None
+        exponent[key] = t
+    return np.fromiter(map(exponent.__getitem__, ids), np.intp, len(ids)).reshape(a.rows, a.cols)
+
+
 # Orbit masks sum distinct bits in uint64, so the affine-orbit sweep takes N <= 64.
 _MAX_ORBIT_ORDER = 64
 
 
-def _dft_rows(a: ExactMatrix, coeffs: np.ndarray) -> bool:
+def _dft_rows(a: ExactMatrix, exponents: np.ndarray | None) -> bool:
     """Whether every row of a is a row of the N-th DFT over all N columns:
     entry (i, j) is exactly w^(r_i j) for every j in 0..N-1, cols = order = N.
 
-    coeffs is _integral_coeffs(a).  Each row is compared exactly with the
-    rows of the N-th DFT on its integer coefficients, and its entries must
-    have denominator 1, since _integral_coeffs clears denominators.  Any
-    other matrix (another root anywhere, a scaled row, columns missing or
-    out of that order) takes the plain sweep.
+    ``exponents`` is _root_exponents(a), so r_i is the exponent of entry
+    (i, 1).  Any other matrix (integer, not roots of unity, another root
+    anywhere, columns missing or out of that order) takes the plain sweep.
     """
     n = a.cols
-    if a.is_integer() or a.order != n or n > _MAX_ORBIT_ORDER:
+    if exponents is None or a.order != n or n > _MAX_ORBIT_ORDER:
         return False
-    rows = (tuple(coeffs[:, i].ravel().tolist()) for i in range(a.rows))
-    return all(e.den == 1 for e in a.entries) and _dft_row_table(n).issuperset(rows)
-
-
-@functools.lru_cache(maxsize=None)
-def _dft_row_table(n: int) -> frozenset:
-    """The rows of the n-th DFT, as their power-basis coefficients column by column."""
-    roots = [root_power(n, t).coeffs for t in range(n)]
-    return frozenset(tuple(c for j in range(n) for c in roots[r * j % n]) for r in range(n))
+    # N = 1 has the column 0 alone, where every exponent is 0.
+    return bool((exponents == np.outer(exponents[:, 1 % n], np.arange(n)) % n).all())
 
 
 @functools.lru_cache(maxsize=8)

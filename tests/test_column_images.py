@@ -5,7 +5,8 @@ each row with a denominator by the lcm of its denominators, and
 _column_images maps them to F_p under every ring map of a prime in one
 limb-split matmul.  Both are checked here against plain Python loops: the
 row-lcm scaling done by hand, and sum_t c_t w[k, t] mod p in Python ints.
-The per-order tables behind them stay bounded however many orders run.
+The per-order tables behind them, and the root tables of the
+root-of-unity path, stay bounded however many orders run.
 """
 
 import math
@@ -13,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from sparkforge import exact_arith
+from sparkforge import exact_arith, spark_engine
 from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi
-from sparkforge.exact_linalg import ExactMatrix
+from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.spark_engine import (
     _column_images,
     _integral_coeffs,
@@ -157,5 +158,14 @@ def test_per_order_tables_keep_at_most_16_orders():
     for order in range(2, 42):
         _modular_maps(order)
         exact_arith._ring(order)
-    assert _modular_maps.cache_info().currsize <= 16
+    assert spark_engine._root_images.cache_info().currsize <= 16
     assert exact_arith._ring.cache_info().currsize <= 16
+
+
+def test_root_tables_keep_at_most_16_orders():
+    # Twenty orders through the root-of-unity path: the scalars and
+    # exponent map of exact_arith, and the images of the powers of g.
+    for order in range(45, 65):
+        assert is_full_spark(dft_submatrix(order, (0, 1))).full_spark
+    assert exact_arith._root_table.cache_info().currsize <= 16
+    assert spark_engine._root_images.cache_info().currsize <= 16

@@ -18,7 +18,7 @@ import pytest
 from sparkforge import spark_engine
 from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi, root_power
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
-from sparkforge.spark_engine import _integral_coeffs, _modular_maps, is_full_spark, spark
+from sparkforge.spark_engine import _modular_maps, is_full_spark, spark
 
 from test_full_spark_engine import oracle as det_sweep
 from test_spark_fp import oracle as rank_sweep
@@ -182,7 +182,7 @@ def near_dft(draw, kind):
 def test_near_dft_matrices_take_the_plain_sweep(kind, data):
     a = data.draw(near_dft(kind))
     hypothesis.assume(a is not None and not _is_dft(a))
-    assert spark_engine._dft_rows(a, _integral_coeffs(a)) is False
+    assert spark_engine._dft_rows(a, spark_engine._root_exponents(a)) is False
     assert spark(a) == rank_sweep(a)
     if a.cols >= a.rows:
         assert is_full_spark(a) == det_sweep(a)
@@ -190,7 +190,7 @@ def test_near_dft_matrices_take_the_plain_sweep(kind, data):
 
 def test_dft_rows_are_detected_and_sweep_fewer_subsets(monkeypatch):
     a = dft_submatrix(13, (0, 1, 2, 3))
-    assert spark_engine._dft_rows(a, _integral_coeffs(a)) is True and _is_dft(a)
+    assert spark_engine._dft_rows(a, spark_engine._root_exponents(a)) is True and _is_dft(a)
     stacked = []
     eliminate = spark_engine._last_pivot_vanishes
 
@@ -204,5 +204,5 @@ def test_dft_rows_are_detected_and_sweep_fewer_subsets(monkeypatch):
     assert cert.full_spark and cert.checked_subsets == math.comb(13, 4) == 715
     assert sum(stacked) == 7
     stacked.clear()
-    monkeypatch.setattr(spark_engine, "_dft_rows", lambda a, coeffs: False)
+    monkeypatch.setattr(spark_engine, "_dft_rows", lambda a, exponents: False)
     assert is_full_spark(a) == cert and sum(stacked) == 715

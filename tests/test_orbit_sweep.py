@@ -217,9 +217,14 @@ def _row_orbits(order):
             for rep, members in _orbits(order, size).items())
 
 
+def _no_orbit_walk(n, k):
+    raise AssertionError(f"the plain sweep walked the orbits of ({n}, {k})")
+
+
 def _plain(call, a, budget):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spark_engine, "_dft_rows", lambda a, coeffs: False)
+        mp.setattr(spark_engine, "_dft_rows", lambda a, exponents: False)
+        mp.setattr(spark_engine, "_orbit_representatives", _no_orbit_walk)
         return _outcome(lambda: call(a, budget))
 
 
@@ -254,6 +259,6 @@ _ROWS_64 = [(0, 1), (0, 3), (0, 32), (1, 3), (0, 16), (0, 1, 2), (0, 1, 3), (0, 
 def test_orbit_sweep_matches_plain_sweep_at_order_64(rows):
     # Masks of 64 columns use all 64 bits of uint64.
     a = dft_submatrix(64, rows)
-    assert spark_engine._dft_rows(a, spark_engine._integral_coeffs(a))
+    assert spark_engine._dft_rows(a, spark_engine._root_exponents(a))
     for call in (is_full_spark, spark):
         assert _outcome(lambda: call(a, DEFAULT_BUDGET)) == _plain(call, a, DEFAULT_BUDGET)

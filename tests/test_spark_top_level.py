@@ -135,7 +135,7 @@ def test_every_dft_row_subset_matches_the_ascending_sweep(order):
     for size in range(1, order + 1):
         for rows in itertools.combinations(range(order), size):
             a = dft_submatrix(order, rows)
-            assert spark_engine._dft_rows(a, spark_engine._integral_coeffs(a)) is True
+            assert spark_engine._dft_rows(a, spark_engine._root_exponents(a)) is True
             outcomes = _check(a)
             full += outcomes[1]["witness"] is None
             refuted += outcomes[1]["witness"] is not None
