@@ -13,6 +13,7 @@ exact, and the product of those lcms divides the determinant at the end.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import IndexOutOfRange, NonFiniteEntry, ShapeError, SideLimitExceeded
 from .exact_arith import CycInt, ExactScalar, _bareiss, _root_table
@@ -23,6 +24,7 @@ DEFAULT_SIDE_LIMIT = 64
 
 _INT = "int"
 _SCALAR = "scalar"
+_ORDER = operator.attrgetter("num.order")
 
 
 class ExactMatrix:
@@ -42,14 +44,17 @@ class ExactMatrix:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        if entries and all(isinstance(e, (int, bool)) for e in entries):
+        # One check per distinct entry type; the orders are read without a
+        # Python-level loop (deduplicating entry objects by id costs more).
+        types = set(map(type, entries))
+        if types and all(issubclass(t, int) for t in types):
             kind = _INT
             if order != 1:
                 raise ValueError("integer matrices carry order 1")
-        elif entries:
-            if not all(isinstance(e, ExactScalar) for e in entries):
+        elif types:
+            if not all(issubclass(t, ExactScalar) for t in types):
                 raise TypeError("entries must be all int or all ExactScalar")
-            orders = {e.order for e in entries}
+            orders = set(map(_ORDER, entries))
             if len(orders) != 1:
                 raise ValueError(f"mixed cyclotomic orders {sorted(orders)}")
             order = orders.pop()

@@ -428,6 +428,11 @@ def _block_search(a: ExactMatrix):
     stacked, in lex order.  The first dependent representative is then
     the lex-first dependent subset overall, and the answer is the one the
     full lex sweep gives.
+
+    Either way the subsets come as arrays of column indices from
+    _subset_rows, whose LRU byte cache keeps each level, plain or one per
+    orbit, for the next search of the same (n, k).  Blocks are slices of
+    those arrays (_blocks); only a flagged subset becomes a tuple of ints.
     """
     exponents = _root_exponents(a)
     if exponents is None:
@@ -458,20 +463,38 @@ def _block_search(a: ExactMatrix):
 
     def search(k):
         cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * k))
-        subsets = _orbit_representatives(n, k) if orbits else itertools.combinations(range(n), k)
-        size = min(_FIRST_BLOCK, cap)
-        while block := list(itertools.islice(subsets, size)):
-            idx = np.array(block, dtype=np.intp).reshape(len(block), k)
-            # [map, subset, column, row]: R_k A_S transposed, with its leading minors.
-            stack = mixed[:, idx, :k].reshape(phi * len(block), k, k)
-            flagged = _last_pivot_vanishes(stack, p).reshape(phi, len(block)).all(axis=0)
-            for j in np.flatnonzero(flagged):
-                if dependent(block[j]):
-                    return block[j]
-            size = min(2 * size, cap)
-        return None
+        rows = _subset_rows(n, k, orbits)
+        try:
+            for block in _blocks(rows, min(_FIRST_BLOCK, cap), cap):
+                # [map, subset, column, row]: R_k A_S transposed, with its leading minors.
+                stack = mixed[:, :, :k].take(block, axis=1).reshape(phi * len(block), k, k)
+                flagged = _last_pivot_vanishes(stack, p).reshape(phi, len(block)).all(axis=0)
+                for j in np.flatnonzero(flagged):
+                    cols = tuple(block[j].tolist())
+                    if dependent(cols):
+                        return cols
+            return None
+        finally:
+            rows.close()
 
     return search
+
+
+def _blocks(chunks, size: int, cap: int):
+    """The rows of the arrays ``chunks`` in blocks of ``size`` rows, the size
+    doubling up to ``cap``; the last block may be shorter.  A block that lies
+    within one array is a view of it."""
+    held, have = [], 0
+    for chunk in chunks:
+        while len(chunk):
+            held.append(chunk[: size - have])
+            chunk = chunk[size - have :]
+            have += len(held[-1])
+            if have == size:
+                yield held[0] if len(held) == 1 else np.concatenate(held)
+                held, have, size = [], 0, min(2 * size, cap)
+    if held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
 def _root_exponents(a: ExactMatrix) -> np.ndarray | None:
@@ -532,7 +555,8 @@ def _affine_masks(n: int) -> np.ndarray:
 
 def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
     """Lex-min members of the affine orbits of size-k subsets of Z_n, in lex
-    order, as uint8 arrays; only those after ``after`` when it is given.
+    order, as arrays of _index_dtype(n) rows; only those after ``after``
+    when it is given.
 
     A depth-first walk over prefixes.  Deleting the largest element of a
     lex-min member leaves a lex-min member (if g(S') precedes S' then g(S)
@@ -540,7 +564,7 @@ def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
     children of a prefix are tested in one numpy step: each is lex-min
     when no affine image has a larger mask.
     """
-    masks = _affine_masks(n)
+    masks, dtype = _affine_masks(n), _index_dtype(n)
 
     def below(prefix, mask, lo):
         j = len(prefix)
@@ -548,7 +572,7 @@ def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
         least = np.flatnonzero(sums.max(axis=1) == sums[:, 0])
         if j + 1 == k:
             if len(least):
-                out = np.empty((len(least), k), dtype=np.uint8)
+                out = np.empty((len(least), k), dtype=dtype)
                 out[:, :j] = prefix
                 out[:, j] = lo + least
                 yield out
@@ -558,7 +582,7 @@ def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
 
     if k == 0:
         if after is None:
-            yield np.empty((1, 0), dtype=np.uint8)
+            yield np.empty((1, 0), dtype=dtype)
         return
     if after is None:
         yield from below((), np.zeros(masks.shape[1], dtype=np.uint64), 0)
@@ -568,44 +592,82 @@ def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
         yield from below(prefix, masks[list(prefix)].sum(axis=0), after[j] + 1)
 
 
-# Representatives depend only on (N, k), so each (N, k) keeps the rows its
-# walks have reached as uint8 bytes, their count, and whether a walk ran to
-# the end.  The dict is in recency order: a level moves to the end when it
-# is used, and the least recently used levels go first when the row bytes
-# pass _ORBIT_CACHE_BYTES.
-_ORBIT_CACHE_BYTES = 1 << 23
-_orbit_cache: dict[tuple[int, int], tuple[bytes, int, bool]] = {}
+# A lex walk yields arrays of _FIRST_BLOCK rows, doubling up to _WALK_ROWS,
+# so a search that stops early has built little more than it stacked.
+_WALK_ROWS = 1 << 12
 
 
-def _orbit_representatives(n: int, k: int):
-    """_orbit_walk(n, k) as tuples: the rows kept for (n, k), then the walk
-    on from the last of them, whose rows are kept while the bound allows."""
-    key = n, k
-    data, count, complete = _orbit_cache.pop(key, (b"", 0, False))
-    _orbit_cache[key] = data, count, complete
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(count, k)
-    for i in range(0, count, 1024):
-        yield from map(tuple, rows[i : i + 1024].tolist())
+def _index_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the column indices 0..n-1."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def _lex_walk(n: int, k: int, after: tuple[int, ...] | None = None):
+    """The size-k subsets of range(n) in lex order, as arrays of
+    _index_dtype(n) rows; only those after ``after`` when it is given.
+
+    The subsets after S are, for j = k-1 down to 0, those that keep S's
+    first j elements and take the rest above S[j]: the combinations of
+    range(S[j] + 1, n) behind one fixed prefix.
+    """
+    dtype, size = _index_dtype(n), _FIRST_BLOCK
+    tails = [((), 0)] if after is None else [(after[:j], after[j] + 1) for j in reversed(range(k))]
+    for prefix, lo in tails:
+        j = len(prefix)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(lo, n), k - j))
+        left = math.comb(n - lo, k - j)
+        while left:
+            rows = min(size, left)
+            out = np.empty((rows, k), dtype=dtype)
+            out[:, :j] = prefix
+            out[:, j:] = np.fromiter(flat, dtype, rows * (k - j)).reshape(rows, k - j)
+            yield out
+            left -= rows
+            size = min(2 * size, _WALK_ROWS)
+
+
+# Subset-index tables depend only on (n, k) and on whether they hold every
+# subset or one per affine orbit.  Each key keeps the rows its walks have
+# reached as bytes of _index_dtype(n), their count, and whether a walk ran
+# to the end.  The dict is in recency order: a table moves to the end when
+# it is used, and the least recently used tables go first when the row
+# bytes pass _SUBSET_CACHE_BYTES.
+_SUBSET_CACHE_BYTES = 1 << 23
+_subset_cache: dict[tuple[int, int, bool], tuple[bytes, int, bool]] = {}
+
+
+def _subset_rows(n: int, k: int, orbits: bool):
+    """_orbit_walk(n, k) when ``orbits``, else _lex_walk(n, k), as arrays:
+    the rows kept for the key, then the walk on from the last of them,
+    whose rows are kept while the bound allows."""
+    key = n, k, orbits
+    data, count, complete = _subset_cache.pop(key, (b"", 0, False))
+    _subset_cache[key] = data, count, complete
+    rows = np.frombuffer(data, dtype=_index_dtype(n)).reshape(count, k)
+    if count:
+        yield rows
     if complete:
         return
-    grown, whole = bytearray(data), True
+    walk = _orbit_walk if orbits else _lex_walk
+    grown, size, whole = [data], len(data), True
     try:
-        for chunk in _orbit_walk(n, k, tuple(rows[-1].tolist()) if count else None):
-            whole = whole and len(grown) + chunk.nbytes <= _ORBIT_CACHE_BYTES
+        for chunk in walk(n, k, tuple(rows[-1].tolist()) if count else None):
+            whole = whole and size + chunk.nbytes <= _SUBSET_CACHE_BYTES
             if whole:
-                grown += chunk.tobytes()
+                grown.append(chunk.tobytes())
+                size += chunk.nbytes
                 count += len(chunk)
-            yield from map(tuple, chunk.tolist())
+            yield chunk
         complete = whole
     finally:
-        # Runs when the caller stops early too.  Another walk of (n, k) may
+        # Runs when the caller stops early too.  Another walk of the key may
         # have stored its rows meanwhile; the entry with more rows, or with
         # as many and complete, stays.
-        if (count, complete) > _orbit_cache.get(key, (b"", 0, False))[1:]:
-            _orbit_cache.pop(key, None)
-            _orbit_cache[key] = bytes(grown), count, complete
-            while sum(len(kept) for kept, _, _ in _orbit_cache.values()) > _ORBIT_CACHE_BYTES:
-                del _orbit_cache[next(iter(_orbit_cache))]
+        if (count, complete) > _subset_cache.get(key, (b"", 0, False))[1:]:
+            _subset_cache.pop(key, None)
+            _subset_cache[key] = b"".join(grown), count, complete
+            while sum(len(kept) for kept, _, _ in _subset_cache.values()) > _SUBSET_CACHE_BYTES:
+                del _subset_cache[next(iter(_subset_cache))]
 
 
 def _dependent_by_norm(coeffs: np.ndarray, h2: int, order: int, first: np.ndarray) -> bool:

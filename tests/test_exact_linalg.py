@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sparkforge import det_exact, dft_submatrix, rank_exact
@@ -295,6 +296,49 @@ def test_dft_submatrix_matches_the_per_entry_build():
             assert (got.rows, got.cols, got.order) == (len(rows), len(cols), order)
             assert list(got.entries) == want
             assert [hash(e) for e in got.entries] == [hash(e) for e in want]
+
+
+class _Int(int):
+    pass
+
+
+_W3 = ExactScalar(root_power(3, 1))
+
+
+@pytest.mark.parametrize("entries, order, kind, want_order", [
+    ([1, -2, 3**80, 0], 1, "int", 1),
+    ([True, False, True, 1], 1, "int", 1),
+    ([_Int(5), 2, _Int(-1), True], 1, "int", 1),
+    ([_W3, ExactScalar(root_power(3, 2), 7)] * 2, 1, "scalar", 3),
+    ([_W3] * 4, 9, "scalar", 3),
+])
+def test_matrix_accepts_int_and_scalar_entries(entries, order, kind, want_order):
+    m = ExactMatrix(2, 2, iter(entries), order)
+    assert (m.kind, m.order, m.entries) == (kind, want_order, tuple(entries))
+
+
+@pytest.mark.parametrize("rows, cols, order, kind",
+                         [(0, 0, 1, "int"), (0, 3, 1, "int"), (2, 0, 5, "scalar")])
+def test_empty_matrix_keeps_its_order(rows, cols, order, kind):
+    m = ExactMatrix(rows, cols, (), order)
+    assert (m.kind, m.order, m.entries) == (kind, order, ())
+
+
+@pytest.mark.parametrize("entries, order, error, message", [
+    ([1, 2, 3, _W3], 1, TypeError, "entries must be all int or all ExactScalar"),
+    ([_W3, 2, _W3, _W3], 1, TypeError, "entries must be all int or all ExactScalar"),
+    ([1, 2.0, 3, 4], 1, TypeError, "entries must be all int or all ExactScalar"),
+    ([_W3, None, _W3, _W3], 3, TypeError, "entries must be all int or all ExactScalar"),
+    ([np.int64(1), 2, 3, 4], 1, TypeError, "entries must be all int or all ExactScalar"),
+    ([1, 2, 3, 4], 3, ValueError, "integer matrices carry order 1"),
+    ([_W3, ExactScalar.from_int(4, 1), ExactScalar.zero(12), _W3], 1, ValueError,
+     "mixed cyclotomic orders [3, 4, 12]"),
+    ([1, 2, 3], 1, ShapeError, "2x2 matrix needs 4 entries, got 3"),
+])
+def test_matrix_rejects_mixed_or_foreign_entries(entries, order, error, message):
+    with pytest.raises(error) as exc:
+        ExactMatrix(2, 2, entries, order)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_identity_has_full_rank():

@@ -21,8 +21,8 @@ from sparkforge.errors import BudgetExceeded
 from sparkforge.exact_linalg import dft_submatrix
 from sparkforge.spark_engine import (
     DEFAULT_BUDGET,
-    _orbit_representatives,
     _orbit_walk,
+    _subset_rows,
     is_full_spark,
     spark,
 )
@@ -69,16 +69,16 @@ def test_walk_resumes_after_any_representative(n, k):
 
 
 def _cache(monkeypatch, limit=None):
-    """An empty representative cache, optionally with another byte bound."""
-    monkeypatch.setattr(spark_engine, "_orbit_cache", {})
+    """An empty subset-table cache, optionally with another byte bound."""
+    monkeypatch.setattr(spark_engine, "_subset_cache", {})
     if limit is not None:
-        monkeypatch.setattr(spark_engine, "_ORBIT_CACHE_BYTES", limit)
-    return spark_engine._orbit_cache
+        monkeypatch.setattr(spark_engine, "_SUBSET_CACHE_BYTES", limit)
+    return spark_engine._subset_cache
 
 
-def _kept(cache, n, k):
-    data, count, complete = cache[n, k]
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(count, k)
+def _kept(cache, n, k, orbits=True):
+    data, count, complete = cache[n, k, orbits]
+    rows = np.frombuffer(data, dtype=spark_engine._index_dtype(n)).reshape(count, k)
     return [tuple(row) for row in rows.tolist()], complete
 
 
@@ -86,15 +86,25 @@ def _held(cache):
     return sum(len(data) for data, _, _ in cache.values())
 
 
-def _walks(monkeypatch):
-    """The (n, k, after) of every _orbit_walk the cache starts from now on."""
-    calls, walk = [], spark_engine._orbit_walk
+def _representatives(n, k, orbits=True):
+    """_subset_rows(n, k, orbits) row by row, as tuples; closing it closes the table's walk."""
+    tables = _subset_rows(n, k, orbits)
+    try:
+        for rows in tables:
+            yield from map(tuple, rows.tolist())
+    finally:
+        tables.close()
+
+
+def _walks(monkeypatch, name="_orbit_walk"):
+    """The (n, k, after) of every walk ``name`` the cache starts from now on."""
+    calls, walk = [], getattr(spark_engine, name)
 
     def counting(n, k, after=None):
         calls.append((n, k, after))
         return walk(n, k, after)
 
-    monkeypatch.setattr(spark_engine, "_orbit_walk", counting)
+    monkeypatch.setattr(spark_engine, name, counting)
     return calls
 
 
@@ -102,14 +112,14 @@ def test_cache_keeps_a_partial_walk_and_resumes_it(monkeypatch):
     cache = _cache(monkeypatch)
     reps = _walk(16, 6)
     for stop in (5, 20):
-        partial = _orbit_representatives(16, 6)
+        partial = _representatives(16, 6)
         assert list(itertools.islice(partial, stop)) == reps[:stop]
         partial.close()
         kept, complete = _kept(cache, 16, 6)
         assert stop <= len(kept) < len(reps) and kept == reps[: len(kept)] and not complete
     walks = _walks(monkeypatch)
     for _ in range(2):
-        assert list(_orbit_representatives(16, 6)) == reps
+        assert list(_representatives(16, 6)) == reps
         assert _kept(cache, 16, 6) == (reps, True)
     # One walk, on from the last kept row; the second call only replays.
     assert walks == [(16, 6, kept[-1])]
@@ -118,21 +128,21 @@ def test_cache_keeps_a_partial_walk_and_resumes_it(monkeypatch):
 def test_interleaved_walks_of_one_size_agree(monkeypatch):
     cache = _cache(monkeypatch)
     reps = _walk(14, 6)
-    one, two = _orbit_representatives(14, 6), _orbit_representatives(14, 6)
+    one, two = _representatives(14, 6), _representatives(14, 6)
     pairs = list(zip(one, two))
     assert [a for a, _ in pairs] == [b for _, b in pairs] == reps
     assert list(one) == list(two) == []
     assert _kept(cache, 14, 6) == (reps, True) and _held(cache) == len(reps) * 6
     walks = _walks(monkeypatch)
-    assert list(_orbit_representatives(14, 6)) == reps and walks == []
+    assert list(_representatives(14, 6)) == reps and walks == []
 
 
 def test_walk_stopped_early_after_a_complete_one_leaves_the_longer_entry(monkeypatch):
     cache = _cache(monkeypatch)
     reps = _walk(14, 6)
-    early = _orbit_representatives(14, 6)
+    early = _representatives(14, 6)
     next(early)
-    assert list(_orbit_representatives(14, 6)) == reps
+    assert list(_representatives(14, 6)) == reps
     early.close()
     assert _kept(cache, 14, 6) == (reps, True) and _held(cache) == len(reps) * 6
 
@@ -141,40 +151,41 @@ def test_cache_stays_within_its_byte_bound(monkeypatch):
     cache = _cache(monkeypatch, limit=800)
     # Row bytes: (13, 4) 28, (16, 6) 504, (15, 7) 462 and (18, 8) 3,488.
     for n, k in [(13, 4), (16, 6), (13, 4), (15, 7)]:
-        assert list(_orbit_representatives(n, k)) == _walk(n, k)
+        assert list(_representatives(n, k)) == _walk(n, k)
         assert _held(cache) <= 800
     # All three pass 800, so (16, 6), the least recently used, went first.
-    assert list(cache) == [(13, 4), (15, 7)]
+    assert list(cache) == [(13, 4, True), (15, 7, True)]
     for n, k in [(13, 4), (15, 7)]:
         assert _kept(cache, n, k) == (_walk(n, k), True)
     # A level larger than the bound keeps a prefix that fits, alone.
     reps = _walk(18, 8)
-    assert list(_orbit_representatives(18, 8)) == reps
+    assert list(_representatives(18, 8)) == reps
     kept, complete = _kept(cache, 18, 8)
-    assert list(cache) == [(18, 8)] and not complete
+    assert list(cache) == [(18, 8, True)] and not complete
     assert kept == reps[: len(kept)] and 0 < len(kept) * 8 == _held(cache) <= 800
-    assert list(_orbit_representatives(18, 8)) == reps
+    assert list(_representatives(18, 8)) == reps
 
 
 def test_cache_charges_row_bytes_not_array_headers(monkeypatch):
     # The walk of (20, 8) yields 889 rows (7,112 bytes) in 320 small arrays,
     # whose numpy headers alone would pass a 16 KiB bound.
     cache = _cache(monkeypatch, limit=16 << 10)
-    assert list(_orbit_representatives(20, 8)) == _walk(20, 8)
+    assert list(_representatives(20, 8)) == _walk(20, 8)
     rows, complete = _kept(cache, 20, 8)
     assert complete and len(rows) == 889 and _held(cache) == 889 * 8
 
 
 def test_cache_keeps_and_replays_a_level_of_many_arrays(monkeypatch):
     # The walk of (22, 10) yields 2,990 rows in more than 1024 arrays, and
-    # the replay crosses its 1024-row slices.
+    # the replay gives them back as one table.
     cache = _cache(monkeypatch)
     assert sum(1 for _ in _orbit_walk(22, 10)) > 1024
     reps = _walk(22, 10)
     assert len(reps) == 2990
-    assert list(_orbit_representatives(22, 10)) == reps
+    assert list(_representatives(22, 10)) == reps
     assert _kept(cache, 22, 10) == (reps, True) and _held(cache) == 2990 * 10
-    assert list(_orbit_representatives(22, 10)) == reps
+    assert list(_representatives(22, 10)) == reps
+    assert [len(rows) for rows in _subset_rows(22, 10, True)] == [2990]
 
 
 def test_small_level_replays_after_large_levels_fill_the_bound(monkeypatch):
@@ -183,10 +194,10 @@ def test_small_level_replays_after_large_levels_fill_the_bound(monkeypatch):
     # large size to keep the small one, or walk it on every call.
     cache = _cache(monkeypatch, limit=520)
     for n, k in [(16, 6), (15, 7), (16, 6), (15, 7)]:
-        assert list(_orbit_representatives(n, k)) == _walk(n, k)
+        assert list(_representatives(n, k)) == _walk(n, k)
     walks = _walks(monkeypatch)
     for _ in range(3):
-        assert list(_orbit_representatives(13, 4)) == _walk(13, 4)
+        assert list(_representatives(13, 4)) == _walk(13, 4)
     assert walks == [(13, 4, None)] and _held(cache) <= 520
 
 
@@ -217,14 +228,23 @@ def _row_orbits(order):
             for rep, members in _orbits(order, size).items())
 
 
-def _no_orbit_walk(n, k):
+def _no_orbit_walk(n, k, after=None):
     raise AssertionError(f"the plain sweep walked the orbits of ({n}, {k})")
 
 
+def _lex_rows_only(n, k, orbits):
+    if orbits:
+        raise AssertionError(f"the plain sweep read the orbit table of ({n}, {k})")
+    return _subset_rows(n, k, orbits)
+
+
 def _plain(call, a, budget):
+    # Orbit rows reach a sweep only through _subset_rows, walked or replayed
+    # from the cache, and are walked only by _orbit_walk: both fail here.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spark_engine, "_dft_rows", lambda a, exponents: False)
-        mp.setattr(spark_engine, "_orbit_representatives", _no_orbit_walk)
+        mp.setattr(spark_engine, "_subset_rows", _lex_rows_only)
+        mp.setattr(spark_engine, "_orbit_walk", _no_orbit_walk)
         return _outcome(lambda: call(a, budget))
 
 
