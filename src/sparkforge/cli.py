@@ -49,9 +49,12 @@ def _default_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from exc
+    if budget < 0:
+        raise UsageError(f"{BUDGET_ENV} must be non-negative, got {budget}")
+    return budget
 
 
 class UsageError(Exception):
@@ -357,6 +360,17 @@ def _cmd_probe(args):
     return doc, 0 if result.exceeds_k else 1
 
 
+def _count(text: str) -> int:
+    """An option's non-negative integer; argparse names the option in the error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 # Options shared by several subcommands, as (flag, add_argument keywords).
 _FLAG = {"action": "store_true"}
 _INT = {"type": int}
@@ -367,7 +381,7 @@ _MATRIX_OR_DFT = [("--matrix", {"help": "matrix file (- for stdin)"}),
                   ("--dft", {"type": int, "help": "build DFT rows of this order instead"}),
                   ("--cols", {"help": "column restriction for --dft"})]
 _TRIALS_SEED = [("--trials", {"type": int, "default": 10}), ("--seed", {"type": int, "default": 0})]
-_BUDGET = ("--budget", {"type": int,
+_BUDGET = ("--budget", {"type": _count,
                         "help": f"subset budget (default {DEFAULT_BUDGET}, or ${BUDGET_ENV})"})
 
 # name -> (help, handler, options).  A handler returns (document, exit code);
@@ -398,7 +412,7 @@ COMMANDS = {
         ("--n", _REQUIRED_INT), *_ROWS,
     ]),
     "orbit": ("closure orbit of a row set", _cmd_orbit, [
-        ("--n", _REQUIRED_INT), ("--cap", {"type": int, "default": dft_analysis.ORBIT_CAP}), *_ROWS,
+        ("--n", _REQUIRED_INT), ("--cap", {"type": _count, "default": dft_analysis.ORBIT_CAP}), *_ROWS,
     ]),
     "rip-check": ("coset balance necessary condition", _cmd_rip_check, [
         ("--n", _REQUIRED_INT), ("--k", _REQUIRED_INT),
@@ -421,7 +435,7 @@ COMMANDS = {
     "probe": ("randomized compressed spark probe", _cmd_probe, [
         ("--matrix", {"default": "-", "help": "integer matrix file (default stdin)"}),
         ("--k", _REQUIRED_INT), *_TRIALS_SEED,
-        ("--p-cap", {"type": int, "default": 10**6}),
+        ("--p-cap", {"type": _count, "default": 10**6}),
         ("--no-cap", dict(_FLAG, help="error instead of capping")),
         ("--no-corroborate", {"dest": "corroborate", "action": "store_false",
                               "help": "skip the exact spark run after a negative probe"}),

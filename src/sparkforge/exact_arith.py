@@ -80,7 +80,6 @@ def is_prime_power(n: int) -> bool:
     return n > 1 and len(_factorize(n)) == 1
 
 
-@functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 

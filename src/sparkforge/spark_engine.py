@@ -20,16 +20,18 @@ the full-spark check of the single size M, search in blocks mod p: the
 matrix is mapped to F_p, p = 1 (mod N) a prime above 2^30, under each of
 the phi(N) ring maps Z[w] -> F_p, its rows are mixed once by a fixed
 seeded matrix R, and a block is eliminated with numpy without row
-exchanges.  A matrix of roots of unity w^t, such as a DFT submatrix, is
-mapped by one gather from the images of the N powers of w, any other
-matrix through its power-basis coefficients.  A subset whose k x k image
-R_k A_S has a nonzero last pivot is independent, whatever R is:
+exchanges.  One function, _images, maps the matrix for the search and for
+every prime of the proof below: a matrix of roots of unity w^t, such as a
+DFT submatrix, by one gather from the images of the N powers of w, any
+other matrix through its power-basis coefficients.  A subset whose k x k
+image R_k A_S has a nonzero last pivot is independent, whatever R is:
 rank (R_k A_S) <= rank A_S.  A random R makes the other outcome, a flag,
 rare for independent subsets.  A subset flagged under every map is
 dependent only if a norm-bound proof says so: it is eliminated with
 pivoting mod p and then mod further primes, until their product exceeds a
-Hadamard bound on every conjugate of every minor, and it stays deficient
-under all of their maps.  No Q(w) arithmetic runs.
+Hadamard bound on every conjugate of every minor (k^(k/2) for roots of
+unity), and it stays deficient under all of their maps.  No Q(w)
+arithmetic runs.
 
 When the matrix is rows of the N-th DFT over all N columns, read off the
 exponents of its roots, the rank of a column subset is constant on its
@@ -246,7 +248,7 @@ def _is_prime_below_2_31(n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=16)
-def _root_images(order: int, index: int = 0) -> tuple[int, np.ndarray]:
+def _root_images(order: int, index: int) -> tuple[int, np.ndarray]:
     """(p, roots) for the index-th prime p = 1 (mod order) above 2^30.
 
     roots[k, t] = g^(e_k t) mod p for t in 0..order-1, over the units e_k
@@ -274,17 +276,6 @@ def _root_images(order: int, index: int = 0) -> tuple[int, np.ndarray]:
     roots = np.array(powers, dtype=np.int64)[np.outer(units, np.arange(order)) % order]
     roots.flags.writeable = False  # shared by every caller through the cache
     return p, roots
-
-
-def _modular_maps(order: int, index: int = 0) -> tuple[int, np.ndarray]:
-    """(p, w) for the index-th prime p = 1 (mod order) above 2^30.
-
-    w[k, i] = g^(e_k i) mod p for i < phi(order), the first phi columns of
-    _root_images, so row k is the image of the power basis under the ring
-    map sending w to g^(e_k).
-    """
-    p, roots = _root_images(order, index)
-    return p, roots[:, : roots.shape[0]]
 
 
 def _integral_coeffs(a: ExactMatrix) -> np.ndarray:
@@ -329,15 +320,23 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _column_images(coeffs: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
-    """Images of the columns under every map of p: shape (maps, cols, rows).
+def _images(
+    order: int, index: int, exponents: np.ndarray | None, coeffs: np.ndarray | None
+) -> tuple[int, np.ndarray]:
+    """(p, images) for the index-th prime p of _root_images: the columns'
+    images under every map of p, shape (maps, cols, rows).
 
-    ``coeffs`` has shape (cols, rows, phi) and w shape (maps, phi).  Each
-    image is sum_t c_t w[k, t] mod p, taken in one _mulmod.
+    A matrix of roots w^t is given by its exponents T, shape (rows, cols),
+    and its images are one gather from roots.  Any other is given by its
+    power-basis coefficients, shape (cols, rows, phi), whose image
+    sum_t c_t g^(e_k t) is one _mulmod by the first phi columns of roots.
     """
-    cols, rows = coeffs.shape[:2]
-    residues = (coeffs % p).astype(np.int64).reshape(cols * rows, w.shape[1]).T
-    return _mulmod(w, residues, p).reshape(w.shape[0], cols, rows)
+    p, roots = _root_images(order, index)
+    if exponents is not None:
+        return p, roots[:, exponents.T]
+    cols, rows, phi = coeffs.shape
+    residues = (coeffs % p).astype(np.int64).reshape(cols * rows, phi).T
+    return p, _mulmod(roots[:, :phi], residues, p).reshape(phi, cols, rows)
 
 
 @functools.lru_cache(maxsize=16)
@@ -415,12 +414,11 @@ def _block_search(a: ExactMatrix):
     one image there has rank k (a false flag, or p divides every k x k
     minor) the search goes on.
 
-    When every entry is a root of unity w^t (_root_exponents), the map
-    sending w to g^e takes it to g^(e t), so the images are one gather
-    from _root_images, and coefficients are built only for the columns of
-    a flagged subset.  Any other matrix is mapped through its power-basis
-    coefficients (_integral_coeffs, _column_images); the images are the
-    same either way.
+    The images come from _images, under the first prime here and under
+    every prime of the proof: a gather when every entry is a root of unity
+    w^t (_root_exponents), else a product of the power-basis coefficients
+    (_integral_coeffs).  A root-of-unity candidate is proved from its
+    exponents alone, and no coefficients are built for such a matrix.
 
     When a is DFT rows over all N columns (_dft_rows), the rank of a
     column subset is constant on its orbit under the affine maps
@@ -435,31 +433,21 @@ def _block_search(a: ExactMatrix):
     those arrays (_blocks); only a flagged subset becomes a tuple of ints.
     """
     exponents = _root_exponents(a)
-    if exponents is None:
-        coeffs = _integral_coeffs(a)
-        p, w = _modular_maps(a.order, 0)
-        images = _column_images(coeffs, p, w)
-    else:
-        p, roots = _root_images(a.order, 0)
-        images = roots[:, exponents.T]
-        scalars = _root_table(a.order)[0]
+    coeffs = _integral_coeffs(a) if exponents is None else None
+    p, images = _images(a.order, 0, exponents, coeffs)
     orbits = _dft_rows(a, exponents)
     phi, n, m = images.shape
     mixed = _mixed_images(images, p)
 
     def dependent(cols):
         cols = list(cols)
-        if exponents is None:
-            sub = coeffs[cols]
-        else:
-            # The roots' own coefficients, of the candidate's columns only:
-            # a root has denominator 1, so no row is scaled.
-            powers = exponents[:, cols].T.ravel().tolist()
-            flat = itertools.chain.from_iterable([scalars[t].num.coeffs for t in powers])
-            sub = np.fromiter(flat, dtype=object).reshape(len(cols), m, phi)
+        if exponents is not None:
+            # Every conjugate of a root has modulus 1: each column of a
+            # k x k minor has squared norm k.
+            return _dependent_by_norm(a.order, exponents[:, cols], None, len(cols) ** len(cols))
+        sub = coeffs[cols]
         l1 = np.abs(sub).sum(axis=2)
-        h2 = math.prod((l1 * l1).sum(axis=1).tolist())
-        return _dependent_by_norm(sub, h2, a.order, images[:, cols])
+        return _dependent_by_norm(a.order, None, sub, math.prod((l1 * l1).sum(axis=1).tolist()))
 
     def search(k):
         cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * k))
@@ -553,10 +541,9 @@ def _affine_masks(n: int) -> np.ndarray:
     return masks
 
 
-def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
+def _orbit_walk(n: int, k: int):
     """Lex-min members of the affine orbits of size-k subsets of Z_n, in lex
-    order, as arrays of _index_dtype(n) rows; only those after ``after``
-    when it is given.
+    order, as arrays of _index_dtype(n) rows.
 
     A depth-first walk over prefixes.  Deleting the largest element of a
     lex-min member leaves a lex-min member (if g(S') precedes S' then g(S)
@@ -581,15 +568,9 @@ def _orbit_walk(n: int, k: int, after: tuple[int, ...] | None = None):
             yield from below(prefix + (lo + c,), sums[c], lo + c + 1)
 
     if k == 0:
-        if after is None:
-            yield np.empty((1, 0), dtype=dtype)
-        return
-    if after is None:
+        yield np.empty((1, 0), dtype=dtype)
+    else:
         yield from below((), np.zeros(masks.shape[1], dtype=np.uint64), 0)
-        return
-    for j in range(k - 1, -1, -1):
-        prefix = after[:j]
-        yield from below(prefix, masks[list(prefix)].sum(axis=0), after[j] + 1)
 
 
 # A lex walk yields arrays of _FIRST_BLOCK rows, doubling up to _WALK_ROWS,
@@ -602,28 +583,17 @@ def _index_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(max(n - 1, 0))
 
 
-def _lex_walk(n: int, k: int, after: tuple[int, ...] | None = None):
+def _lex_walk(n: int, k: int):
     """The size-k subsets of range(n) in lex order, as arrays of
-    _index_dtype(n) rows; only those after ``after`` when it is given.
-
-    The subsets after S are, for j = k-1 down to 0, those that keep S's
-    first j elements and take the rest above S[j]: the combinations of
-    range(S[j] + 1, n) behind one fixed prefix.
-    """
+    _index_dtype(n) rows."""
     dtype, size = _index_dtype(n), _FIRST_BLOCK
-    tails = [((), 0)] if after is None else [(after[:j], after[j] + 1) for j in reversed(range(k))]
-    for prefix, lo in tails:
-        j = len(prefix)
-        flat = itertools.chain.from_iterable(itertools.combinations(range(lo, n), k - j))
-        left = math.comb(n - lo, k - j)
-        while left:
-            rows = min(size, left)
-            out = np.empty((rows, k), dtype=dtype)
-            out[:, :j] = prefix
-            out[:, j:] = np.fromiter(flat, dtype, rows * (k - j)).reshape(rows, k - j)
-            yield out
-            left -= rows
-            size = min(2 * size, _WALK_ROWS)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    left = math.comb(n, k)
+    while left:
+        rows = min(size, left)
+        yield np.fromiter(flat, dtype, rows * k).reshape(rows, k)
+        left -= rows
+        size = min(2 * size, _WALK_ROWS)
 
 
 # Subset-index tables depend only on (n, k) and on whether they hold every
@@ -638,20 +608,21 @@ _subset_cache: dict[tuple[int, int, bool], tuple[bytes, int, bool]] = {}
 
 def _subset_rows(n: int, k: int, orbits: bool):
     """_orbit_walk(n, k) when ``orbits``, else _lex_walk(n, k), as arrays:
-    the rows kept for the key, then the walk on from the last of them,
-    whose rows are kept while the bound allows."""
+    the rows kept for the key, then the rows past them, from a walk that
+    starts again at the first row and keeps its rows while the bound
+    allows."""
     key = n, k, orbits
     data, count, complete = _subset_cache.pop(key, (b"", 0, False))
     _subset_cache[key] = data, count, complete
-    rows = np.frombuffer(data, dtype=_index_dtype(n)).reshape(count, k)
     if count:
-        yield rows
+        yield np.frombuffer(data, dtype=_index_dtype(n)).reshape(count, k)
     if complete:
         return
     walk = _orbit_walk if orbits else _lex_walk
-    grown, size, whole = [data], len(data), True
+    grown, size, whole, replayed = [data], len(data), True, count
     try:
-        for chunk in walk(n, k, tuple(rows[-1].tolist()) if count else None):
+        for chunk in walk(n, k):
+            chunk, replayed = chunk[replayed:], max(0, replayed - len(chunk))
             whole = whole and size + chunk.nbytes <= _SUBSET_CACHE_BYTES
             if whole:
                 grown.append(chunk.tobytes())
@@ -670,28 +641,28 @@ def _subset_rows(n: int, k: int, orbits: bool):
                 del _subset_cache[next(iter(_subset_cache))]
 
 
-def _dependent_by_norm(coeffs: np.ndarray, h2: int, order: int, first: np.ndarray) -> bool:
+def _dependent_by_norm(
+    order: int, exponents: np.ndarray | None, coeffs: np.ndarray | None, h2: int
+) -> bool:
     """Decide k columns of Z[w] entries, flagged by the block search.
 
-    ``coeffs`` has shape (k, rows, phi), and ``first`` holds their images
-    under the first prime, shape (maps, k, rows); it is overwritten.
-    ``h2`` is the product over the columns of sum_i L1(a_ij)^2, which
-    bounds |sigma(alpha)|^2 for every k x k minor alpha and every
-    embedding sigma (Hadamard's inequality).  A prime = 1 (mod order)
-    splits completely in Z[w], so a minor that vanishes under all phi maps
-    of each prime taken is divisible by their product P, and
-    |Norm alpha| >= P^phi unless alpha = 0.  Primes are therefore taken
-    from the first, the block search's own, until P^2 > h2, and the
-    images under each are eliminated with pivoting (_vanishing_mod_p):
-    the columns are dependent if they stay deficient under every map of
-    every prime, and independent as soon as one image has rank k (Cabay
-    and Lam, 1977).  The block search's flag is not trusted, so the first
-    prime is checked here too.
+    The columns are given as to _images: exponents of shape (rows, k), or
+    coefficients of shape (k, rows, phi).  ``h2`` bounds |sigma(alpha)|^2
+    for every k x k minor alpha and every embedding sigma (Hadamard's
+    inequality): k^k for roots of unity, else the product over the columns
+    of sum_i L1(a_ij)^2.  A prime = 1 (mod order) splits completely in
+    Z[w], so a minor that vanishes under all phi maps of each prime taken
+    is divisible by their product P, and |Norm alpha| >= P^phi unless
+    alpha = 0.  Primes are therefore taken from the first, the block
+    search's own, until P^2 > h2, and the images under each are eliminated
+    with pivoting (_vanishing_mod_p): the columns are dependent if they
+    stay deficient under every map of every prime, and independent as
+    soon as one image has rank k (Cabay and Lam, 1977).  The block
+    search's flag is not trusted, so the first prime is checked here too.
     """
     modulus, index = 1, 0
     while modulus * modulus <= h2:
-        q, w = _modular_maps(order, index)
-        images = _column_images(coeffs, q, w) if index else first
+        q, images = _images(order, index, exponents, coeffs)
         if not _vanishing_mod_p(images.swapaxes(1, 2), q).all():
             return False
         modulus *= q
@@ -802,26 +773,11 @@ def compressed_spark_probe(
     if p < k:
         raise CapExceeded(f"cap {p} leaves fewer than k = {k} bases")
     rng = random.Random(rng_seed)
+    result = functools.partial(CompressedProbeResult, k=k, trials=trials, p=p, capped=capped)
     for t in range(trials):
         bases = sorted(rng.sample(range(1, p + 1), k))
         sketch = ExactMatrix.from_rows([[b**i for i in range(m)] for b in bases])
         cert = is_full_spark(sketch @ f, budget=budget)
         if not cert.full_spark:
-            return CompressedProbeResult(
-                exceeds_k=False,
-                k=k,
-                trials=trials,
-                p=p,
-                capped=capped,
-                failing_trial=t,
-                candidate_columns=cert.witness,
-            )
-    return CompressedProbeResult(
-        exceeds_k=True,
-        k=k,
-        trials=trials,
-        p=p,
-        capped=capped,
-        failing_trial=None,
-        candidate_columns=None,
-    )
+            return result(exceeds_k=False, failing_trial=t, candidate_columns=cert.witness)
+    return result(exceeds_k=True, failing_trial=None, candidate_columns=None)

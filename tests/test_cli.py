@@ -517,6 +517,33 @@ def test_non_finite_or_negative_delta_and_tol_exit_two(capsys, tmp_path):
     assert code == 0 and doc["mode"] == "numeric"
 
 
+def test_negative_budget_and_caps_exit_two(capsys, tmp_path, monkeypatch):
+    path = _write_json(tmp_path / "dup.json", {
+        "schema_version": 1, "kind": "integer", "rows": 2, "cols": 3,
+        "entries": [1, 1, 2, 2, 2, 3]})
+    cases = [
+        (["spark", "--dft", "7", "--rows", "0,1"], "--budget"),
+        (["full-spark", "--dft", "7", "--rows", "0,1"], "--budget"),
+        (["matroid-girth", "--graph", "-"], "--budget"),
+        (["orbit", "--n", "8", "--rows", "0,1"], "--cap"),
+        (["probe", "--matrix", path, "--k", "2"], "--p-cap"),
+    ]
+    for argv, flag in cases:
+        for value in ("-1", "-1000000"):
+            code, doc, err = _run(capsys, argv + [f"{flag}={value}"])
+            assert _one_line_error(code, doc, err), (argv, value, err)
+            assert f"argument {flag}: must be non-negative, got {value}" in err, err
+    monkeypatch.setenv(cli.BUDGET_ENV, "-1")
+    code, doc, err = _run(capsys, ["spark", "--dft", "7", "--rows", "0,1"])
+    assert _one_line_error(code, doc, err) and f"{cli.BUDGET_ENV} must be non-negative" in err
+    # Zero stays valid: the sweep runs and exhausts it, or the cap is met.
+    monkeypatch.setenv(cli.BUDGET_ENV, "0")
+    assert _run(capsys, ["spark", "--dft", "7", "--rows", "0,1"])[0] == 3
+    for argv, flag in cases[:2] + cases[3:]:
+        code, doc, err = _run(capsys, argv + [f"{flag}=0"])
+        assert code == 3 and doc is None and err.startswith("error: "), (argv, err)
+
+
 def test_cyclotomic_order_above_the_bound_exits_two_before_any_ring(capsys, tmp_path, monkeypatch):
     def no_ring(order):
         raise AssertionError(f"ring of order {order} built")

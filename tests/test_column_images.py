@@ -1,9 +1,9 @@
 """The set-up every exact matrix passes through before a sweep.
 
 _integral_coeffs turns the entries into power-basis coefficients, scaling
-each row with a denominator by the lcm of its denominators, and
-_column_images maps them to F_p under every ring map of a prime in one
-limb-split matmul.  Both are checked here against plain Python loops: the
+each row with a denominator by the lcm of its denominators, and _images
+maps them to F_p under every ring map of a prime in one limb-split matmul
+(_mulmod).  Both are checked here against plain Python loops: the
 row-lcm scaling done by hand, and sum_t c_t w[k, t] mod p in Python ints.
 The per-order tables behind them, and the root tables of the
 root-of-unity path, stay bounded however many orders run.
@@ -18,9 +18,10 @@ from sparkforge import exact_arith, spark_engine
 from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.spark_engine import (
-    _column_images,
+    _images,
     _integral_coeffs,
-    _modular_maps,
+    _mulmod,
+    _root_images,
     is_full_spark,
     spark,
 )
@@ -47,45 +48,42 @@ _NEAR_2_64 = st.integers(-2, 2).map(lambda v: 2**64 + v) | st.integers(-2, 2).ma
 @st.composite
 def image_cases(draw, order):
     index = draw(st.sampled_from([0, 1]))
-    p, w = _modular_maps(order, index)
+    p, roots = _root_images(order, index)
     phi = euler_phi(order)
-    if draw(st.booleans()):
-        k = draw(st.integers(0, phi - 1))
-        w = w[k : k + 1]
     cols, rows = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     ints = st.integers(-3, 3) | _BIG | _NEAR_2_64 | st.integers(-2, 2).map(lambda v: v * p - 1)
     values = draw(st.lists(ints, min_size=cols * rows * phi, max_size=cols * rows * phi))
-    return np.array(values, dtype=object).reshape(cols, rows, phi), p, w
+    return np.array(values, dtype=object).reshape(cols, rows, phi), index, p, roots[:, :phi]
 
 
 @pytest.mark.parametrize("order", [1, 5, 12, 25])
 @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @hypothesis.given(data=st.data())
 def test_column_images_match_python_sums(order, data):
-    coeffs, p, w = data.draw(image_cases(order))
-    images = _column_images(coeffs, p, w)
-    assert images.dtype == np.int64
+    coeffs, index, p, w = data.draw(image_cases(order))
+    q, images = _images(order, index, None, coeffs)
+    assert q == p and images.dtype == np.int64
     assert images.shape == (w.shape[0],) + coeffs.shape[:2]
     assert images.tolist() == _images_by_hand(coeffs, p, w)
 
 
 def test_column_images_are_exact_at_the_limb_bound():
-    # 2^16 - 1 coefficients under the prime 2^31 - 1, every map entry p - 1
-    # and every residue p - 2^16, whose low limb is 2^16 - 1: the low limb
-    # sum comes within 2^49 of 2^63, past which int64 wraps.
+    # 2^16 - 1 terms under the prime 2^31 - 1, every map entry p - 1 and
+    # every residue p - 2^16, whose low limb is 2^16 - 1: the low limb sum
+    # comes within 2^49 of 2^63, past which int64 wraps.
     p = 2**31 - 1
     phi = (1 << 16) - 1
     residue = p - (1 << 16)
     w = np.full((1, phi), p - 1, dtype=np.int64)
-    coeffs = np.full((1, 1, phi), residue - 5 * p, dtype=object)
-    assert _column_images(coeffs, p, w).tolist() == [[[phi * (p - 1) * residue % p]]]
+    residues = np.full((phi, 1), residue, dtype=np.int64)
+    assert _mulmod(w, residues, p).tolist() == [[phi * (p - 1) * residue % p]]
 
 
 def test_column_images_refuse_a_sum_that_could_wrap():
-    p = _modular_maps(1)[0]
+    p = _root_images(1, 0)[0]
     w = np.ones((1, 1 << 16), dtype=np.int64)
     with pytest.raises(ValueError, match="overflow"):
-        _column_images(np.zeros((1, 1, 1 << 16), dtype=object), p, w)
+        _mulmod(w, np.zeros((1 << 16, 1), dtype=np.int64), p)
 
 
 @st.composite
@@ -156,7 +154,7 @@ def test_certificates_of_a_matrix_with_denominators():
 
 def test_per_order_tables_keep_at_most_16_orders():
     for order in range(2, 42):
-        _modular_maps(order)
+        _root_images(order, 0)
         exact_arith._ring(order)
     assert spark_engine._root_images.cache_info().currsize <= 16
     assert exact_arith._ring.cache_info().currsize <= 16

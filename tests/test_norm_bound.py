@@ -18,7 +18,7 @@ import pytest
 from sparkforge import spark_engine
 from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi, root_power
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
-from sparkforge.spark_engine import _modular_maps, is_full_spark, spark
+from sparkforge.spark_engine import _root_images, is_full_spark, spark
 
 from test_full_spark_engine import oracle as det_sweep
 from test_spark_fp import oracle as rank_sweep
@@ -43,7 +43,7 @@ def _primes_seen(monkeypatch):
 
 
 def test_product_of_two_primes_takes_a_third(monkeypatch):
-    p, q, r = (_modular_maps(1, i)[0] for i in range(3))
+    p, q, r = (_root_images(1, i)[0] for i in range(3))
     seen = _primes_seen(monkeypatch)
     # p q vanishes mod p and mod q, and P = p q only reaches H = p q.
     a = ExactMatrix.from_rows([[p * q]])
@@ -52,7 +52,7 @@ def test_product_of_two_primes_takes_a_third(monkeypatch):
 
 
 def test_order_5_multiple_of_p_takes_a_second_prime(monkeypatch):
-    p, q = (_modular_maps(5, i)[0] for i in range(2))
+    p, q = (_root_images(5, i)[0] for i in range(2))
     seen = _primes_seen(monkeypatch)
     # p (1 + w) vanishes under every map of p, and H = L1 = 2p > p.
     a = ExactMatrix(1, 1, [ExactScalar(CycInt(5, [p, p, 0, 0]))], 5)
@@ -63,7 +63,7 @@ def test_order_5_multiple_of_p_takes_a_second_prime(monkeypatch):
 
 
 def test_one_nonzero_image_under_a_further_prime_is_enough(monkeypatch):
-    (p, _), (q, w) = _modular_maps(5, 0), _modular_maps(5, 1)
+    (p, _), (q, w) = _root_images(5, 0), _root_images(5, 1)
     g = int(w[0, 1])
     seen = _primes_seen(monkeypatch)
     # p (w - g) vanishes under every map of p, and under the map w -> g of q
@@ -81,8 +81,22 @@ def test_large_dependent_columns_take_primes_until_the_bound(monkeypatch):
     seen = _primes_seen(monkeypatch)
     cert = spark(a)
     assert (cert.spark, cert.witness, cert.checked_subsets) == (2, (0, 1), 4)
-    assert seen == [_modular_maps(1, i)[0] for i in range(7)]
+    assert seen == [_root_images(1, i)[0] for i in range(7)]
     assert is_full_spark(a).witness == (0, 1)
+
+
+@pytest.mark.parametrize("m, primes", [(16, 2), (15, 1)])
+def test_root_witness_takes_primes_until_p_squared_passes_k_to_the_k(m, primes, monkeypatch):
+    # Columns 0 and 1 are both w^0 = 1, so the first subset is the witness.
+    # Every conjugate of a root has modulus 1: H^2 = k^k, and 16^16 = 2^64
+    # passes p^2 < 2^62, while 15^15 < 2^59 stays below p^2 > 2^60.  An L1
+    # bound would count w^16 = -(1 + ... + w^15) as 16 and take a second
+    # prime at 15 rows too.
+    a = dft_submatrix(17, range(m), [0, 0, *range(1, m)])
+    seen = _primes_seen(monkeypatch)
+    cert = is_full_spark(a)
+    assert (cert.witness, cert.checked_subsets) == (tuple(range(m)), 1)
+    assert seen == [_root_images(17, i)[0] for i in range(primes)]
 
 
 @st.composite
@@ -91,7 +105,7 @@ def matrices(draw, order):
 
     Some columns are multiples of others, so that dependent subsets occur.
     """
-    p = _modular_maps(order)[0]
+    p = _root_images(order, 0)[0]
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     ints = st.one_of(
         st.integers(-3, 3),

@@ -43,8 +43,8 @@ def _orbits(n, k):
     return orbits
 
 
-def _walk(n, k, after=None):
-    return [tuple(row) for chunk in _orbit_walk(n, k, after) for row in chunk.tolist()]
+def _walk(n, k):
+    return [tuple(row) for chunk in _orbit_walk(n, k) for row in chunk.tolist()]
 
 
 @pytest.mark.parametrize("n", range(1, 16))
@@ -62,10 +62,13 @@ def test_one_lex_min_representative_per_orbit_in_lex_order(n):
 
 
 @pytest.mark.parametrize("n, k", [(8, 4), (12, 5), (13, 3), (15, 7), (9, 0), (9, 9)])
-def test_walk_resumes_after_any_representative(n, k):
+def test_walk_resumes_after_any_representative(n, k, monkeypatch):
+    cache = _cache(monkeypatch)
     reps = _walk(n, k)
-    for i, rep in enumerate(reps):
-        assert _walk(n, k, rep) == reps[i + 1 :]
+    for i in range(len(reps)):
+        _keep(cache, n, k, True, reps[: i + 1])
+        assert list(_representatives(n, k)) == reps
+        assert _kept(cache, n, k) == (reps, True)
 
 
 def _cache(monkeypatch, limit=None):
@@ -74,6 +77,12 @@ def _cache(monkeypatch, limit=None):
     if limit is not None:
         monkeypatch.setattr(spark_engine, "_SUBSET_CACHE_BYTES", limit)
     return spark_engine._subset_cache
+
+
+def _keep(cache, n, k, orbits, rows):
+    """Store ``rows`` as the kept, incomplete prefix of the key's table."""
+    data = np.array(rows, dtype=spark_engine._index_dtype(n)).reshape(len(rows), k).tobytes()
+    cache[n, k, orbits] = data, len(rows), False
 
 
 def _kept(cache, n, k, orbits=True):
@@ -97,12 +106,12 @@ def _representatives(n, k, orbits=True):
 
 
 def _walks(monkeypatch, name="_orbit_walk"):
-    """The (n, k, after) of every walk ``name`` the cache starts from now on."""
+    """The (n, k) of every walk ``name`` the cache starts from now on."""
     calls, walk = [], getattr(spark_engine, name)
 
-    def counting(n, k, after=None):
-        calls.append((n, k, after))
-        return walk(n, k, after)
+    def counting(n, k):
+        calls.append((n, k))
+        return walk(n, k)
 
     monkeypatch.setattr(spark_engine, name, counting)
     return calls
@@ -121,8 +130,8 @@ def test_cache_keeps_a_partial_walk_and_resumes_it(monkeypatch):
     for _ in range(2):
         assert list(_representatives(16, 6)) == reps
         assert _kept(cache, 16, 6) == (reps, True)
-    # One walk, on from the last kept row; the second call only replays.
-    assert walks == [(16, 6, kept[-1])]
+    # One walk, from the first row again; the second call only replays.
+    assert walks == [(16, 6)]
 
 
 def test_interleaved_walks_of_one_size_agree(monkeypatch):
@@ -198,7 +207,7 @@ def test_small_level_replays_after_large_levels_fill_the_bound(monkeypatch):
     walks = _walks(monkeypatch)
     for _ in range(3):
         assert list(_representatives(13, 4)) == _walk(13, 4)
-    assert walks == [(13, 4, None)] and _held(cache) <= 520
+    assert walks == [(13, 4)] and _held(cache) <= 520
 
 
 def test_early_refutation_walks_only_a_prefix_of_the_level(monkeypatch):
@@ -228,7 +237,7 @@ def _row_orbits(order):
             for rep, members in _orbits(order, size).items())
 
 
-def _no_orbit_walk(n, k, after=None):
+def _no_orbit_walk(n, k):
     raise AssertionError(f"the plain sweep walked the orbits of ({n}, {k})")
 
 

@@ -1,7 +1,9 @@
-"""The package namespace is exactly the union of its modules' exports."""
+"""The package namespace is exactly the union of its modules' exports, and
+every cache in it is bounded."""
 
 import sparkforge
 from sparkforge import (
+    cli,
     constructions,
     dft_analysis,
     exact_arith,
@@ -29,3 +31,15 @@ def test_every_exported_name_resolves_to_its_module_object():
     namespace = {}
     exec("from sparkforge import *", namespace)
     assert set(sparkforge.__all__) <= set(namespace)
+
+
+def test_every_lru_cache_has_a_finite_maxsize():
+    caches = {}
+    for module in (*MODULES, cli):
+        for name, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) else ()
+            for key, obj in [(name, value), *((f"{name}.{k}", v) for k, v in members)]:
+                if hasattr(obj, "cache_parameters"):
+                    caches[f"{module.__name__}.{key}"] = obj.cache_parameters()["maxsize"]
+    assert "sparkforge.exact_arith._ring" in caches and "sparkforge.spark_engine._root_images" in caches
+    assert all(maxsize is not None for maxsize in caches.values()), caches

@@ -1,13 +1,15 @@
-"""The root-of-unity path of the block search.
+"""The root-of-unity path of the block search and of the norm-bound proof.
 
 When every entry of a matrix is a root of unity w^t with denominator 1,
 the block search finds t for each distinct entry object by value
-(_root_exponents) and takes the images under every map w -> g^e as one
-gather, roots[k, t] = g^(e_k t) mod p (_root_images).  Every other matrix
-goes through its power-basis coefficients, and _column_images on those
+(_root_exponents), and _images takes the images under every map
+w -> g^e as one gather, roots[k, t] = g^(e_k t) mod p (_root_images),
+for the search and for every prime of the proof.  Every other matrix
+goes through its power-basis coefficients, and _images on those
 coefficients is the oracle here: the gathered images must equal it value
 for value, and the certificates must equal the ones the coefficient path
-gives when the root path is switched off.
+gives when the root path is switched off.  A root-of-unity candidate is
+proved from its exponents alone, under the Hadamard bound k^k.
 """
 
 import math
@@ -15,14 +17,13 @@ import math
 import numpy as np
 import pytest
 
-from sparkforge import cli, spark_engine
+from sparkforge import cli, exact_arith, spark_engine
 from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi, root_power
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.spark_engine import (
-    _column_images,
+    _images,
     _integral_coeffs,
     _mixed_images,
-    _modular_maps,
     _root_exponents,
     _root_images,
     is_full_spark,
@@ -82,11 +83,11 @@ def test_gathered_images_equal_the_coefficient_images(order, data, index):
     exponents = _root_exponents(a)
     cols = range(order) if cols is None else cols
     assert exponents.tolist() == [[r * c % order for c in cols] for r in rows]
-    p, roots = _root_images(order, index)
-    gathered = roots[:, exponents.T]
-    q, w = _modular_maps(order, index)
+    p, gathered = _images(order, index, exponents, None)
+    assert gathered.tolist() == _root_images(order, index)[1][:, exponents.T].tolist()
+    q, images = _images(order, index, None, _integral_coeffs(a))
     assert (p, gathered.dtype) == (q, np.int64)
-    assert gathered.tolist() == _column_images(_integral_coeffs(a), q, w).tolist()
+    assert gathered.tolist() == images.tolist()
     if index == 0:
         assert _block_search_images(a).tolist() == gathered.tolist()
     if a.cols <= 12:
@@ -95,7 +96,7 @@ def test_gathered_images_equal_the_coefficient_images(order, data, index):
 
 def test_order_two_takes_the_root_path():
     # phi(2) = 1: one map, w -> -1 = g, and roots has two columns.
-    p, roots = _root_images(2)
+    p, roots = _root_images(2, 0)
     assert roots.tolist() == [[1, p - 1]]
     a = dft_submatrix(2, (0, 1))
     assert _root_exponents(a).tolist() == [[0, 0], [0, 1]]
@@ -139,13 +140,13 @@ def test_near_roots_take_the_coefficient_path(kind, order, rows, monkeypatch):
     assert _root_exponents(a) is None and spark_engine._dft_rows(a, None) is False
     mapped = []
 
-    def column_images(coeffs, p, w):
-        mapped.append(coeffs.shape)
-        return _column_images(coeffs, p, w)
+    def images(order, index, exponents, coeffs):
+        mapped.append(None if coeffs is None else coeffs.shape)
+        return _images(order, index, exponents, coeffs)
 
-    monkeypatch.setattr(spark_engine, "_column_images", column_images)
+    monkeypatch.setattr(spark_engine, "_images", images)
     assert _certificates(a) == _coefficient_path(a)
-    assert (a.cols, a.rows, euler_phi(order)) in mapped
+    assert (a.cols, a.rows, euler_phi(order)) in mapped and None not in mapped
 
 
 def test_integer_matrices_take_the_coefficient_path():
@@ -167,21 +168,59 @@ def test_root_matrices_build_no_coefficients_of_the_whole_matrix(order, rows, mo
     assert _certificates(dft_submatrix(order, rows)) == expected
 
 
-def test_hadamard_bound_takes_the_candidate_columns_only(monkeypatch):
-    a = dft_submatrix(25, (0, 1, 2, 3, 4, 5, 10))
-    l1 = np.abs(_integral_coeffs(a)).sum(axis=2)
-    column_sums = (l1 * l1).sum(axis=1).tolist()
-    bounds = []
+def _record_proofs(monkeypatch):
+    """Record, per call of the norm-bound proof, what it is given and its bound."""
+    calls = []
     prove = spark_engine._dependent_by_norm
 
-    def dependent_by_norm(coeffs, h2, order, first):
-        bounds.append((coeffs.shape, h2))
-        return prove(coeffs, h2, order, first)
+    def dependent_by_norm(order, exponents, coeffs, h2):
+        given = ("exponents", exponents.shape) if coeffs is None else ("coeffs", coeffs.shape)
+        assert (exponents is None) != (coeffs is None)
+        calls.append((given, h2))
+        return prove(order, exponents, coeffs, h2)
+
+    monkeypatch.setattr(spark_engine, "_dependent_by_norm", dependent_by_norm)
+    return calls
+
+
+def test_hadamard_bound_takes_the_candidate_columns_only(monkeypatch):
+    rows, witness = (0, 1, 2, 3, 4, 5, 10), (0, 1, 5, 6, 10, 11, 15)
+    l1 = np.abs(_integral_coeffs(dft_submatrix(25, rows))).sum(axis=2)
+    column_sums = (l1 * l1).sum(axis=1).tolist()
+    bounds = _record_proofs(monkeypatch)
+    # Not roots: the first row is halved, and scaled back by 2 in Z[w], so
+    # the L1 bound is the DFT rows' own, over the candidate's 7 columns.
+    cert = is_full_spark(_near_roots(25, rows, "row over 2"))
+    assert cert.witness == witness
+    assert {given for given, _ in bounds} == {("coeffs", (7, 7, euler_phi(25)))}
+    assert bounds[-1][1] == math.prod(column_sums[j] for j in witness)
+    # Roots: only the exponents of the flagged subsets' 7 columns are read,
+    # never all 25, and every conjugate of a root has modulus 1.
+    bounds.clear()
+    monkeypatch.setattr(spark_engine, "_integral_coeffs", _refuse)
+    assert is_full_spark(dft_submatrix(25, rows)) == cert
+    assert set(bounds) == {(("exponents", (7, 7)), 7**7)}
+
+
+@pytest.mark.parametrize("order, rows, cols", [(10, (0, 1, 3, 4), None), (12, (0, 4, 8), None),
+                                               (12, (0, 3, 5), range(1, 12)), (9, (0, 3), None)])
+def test_refuted_root_sweeps_build_no_power_basis_coefficients(order, rows, cols, monkeypatch):
+    a = dft_submatrix(order, rows, cols)
+    expected = _certificates(a)
+    assert all(cert["witness"] for cert in expected)
+    proofs = _record_proofs(monkeypatch)
+
+    def images(order, index, exponents, coeffs):
+        assert coeffs is None, "power-basis coefficients reached _images"
+        return _images(order, index, exponents, coeffs)
+
+    def root_table(order):
+        # The exponent lookup keeps its map; the scalars, whose coefficients
+        # a rebuild would read, are gone.
+        return None, exact_arith._root_table(order)[1]
 
     monkeypatch.setattr(spark_engine, "_integral_coeffs", _refuse)
-    monkeypatch.setattr(spark_engine, "_dependent_by_norm", dependent_by_norm)
-    cert = is_full_spark(a)
-    assert cert.witness == (0, 1, 5, 6, 10, 11, 15)
-    # Only the flagged subsets' 7 columns are read, never all 25.
-    assert {shape for shape, _ in bounds} == {(7, 7, euler_phi(25))}
-    assert bounds[-1][1] == math.prod(column_sums[j] for j in cert.witness)
+    monkeypatch.setattr(spark_engine, "_images", images)
+    monkeypatch.setattr(spark_engine, "_root_table", root_table)
+    assert _certificates(a) == expected
+    assert proofs and all(given[0] == "exponents" for given, _ in proofs)

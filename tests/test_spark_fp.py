@@ -27,7 +27,7 @@ from sparkforge.spark_engine import (
     SparkCertificate,
     _last_pivot_vanishes,
     _mixed_images,
-    _modular_maps,
+    _root_images,
     _row_mixing,
     _vanishing_mod_p,
     spark,
@@ -177,7 +177,7 @@ def _scalars(order, rows):
 
 @pytest.mark.parametrize("order", [1, 5, 12])
 def test_rank_deficient_mod_p_is_not_a_witness(order):
-    p = _modular_maps(order)[0]
+    p = _root_images(order, 0)[0]
     # Column 0 vanishes mod p, and so do the minors 2p of (0, 1) and (0, 2);
     # only the equal columns (1, 2) are dependent.
     a = _scalars(order, [[p, 1, 1], [0, 2, 2]])
@@ -211,13 +211,14 @@ def _rank_mod_p(rows, p):
 
 
 def _count_proofs(monkeypatch):
-    """Record, per call of the norm-bound proof, the integer columns it decides."""
+    """Record, per call of the norm-bound proof, the integer columns it
+    decides, or the exponents of the roots of unity it is given."""
     calls = []
     prove = spark_engine._dependent_by_norm
 
-    def counting(coeffs, *args):
-        calls.append(coeffs[:, :, 0].T.tolist())
-        return prove(coeffs, *args)
+    def counting(order, exponents, coeffs, h2):
+        calls.append(coeffs[:, :, 0].T.tolist() if exponents is None else exponents.tolist())
+        return prove(order, exponents, coeffs, h2)
 
     monkeypatch.setattr(spark_engine, "_dependent_by_norm", counting)
     return calls
@@ -234,7 +235,7 @@ def test_full_spark_matrices_never_call_rank_exact(monkeypatch):
     assert cert.full_spark and cert.checked_subsets == 7 + 21 + 35
     # w - g vanishes under the map w -> g alone: one image of full rank
     # proves a subset independent.
-    g = int(_modular_maps(5)[1][0, 1])
+    g = int(_root_images(5, 0)[1][0, 1])
     a = ExactMatrix(1, 2, [ExactScalar(CycInt(5, [-g, 1, 0, 0])), ExactScalar.one(5)], 5)
     assert spark(a).full_spark
     assert calls == []
@@ -244,7 +245,7 @@ def test_full_spark_matrices_never_call_rank_exact(monkeypatch):
     "rows",
     [
         [[1, 2, 3, 3, 5], [1, 4, 9, 9, 25]],  # a repeated column
-        [[_modular_maps(1)[0], 1, 1], [0, 2, 2]],  # two false alarms first
+        [[_root_images(1, 0)[0], 1, 1], [0, 2, 2]],  # two false alarms first
         [[1, 0, 1, 2], [0, 1, 1, 5], [1, 1, 2, 7]],  # rank 2
         [[1, 2, 2, 3, 5], [1, 4, 4, 9, 25], [1, 8, 8, 27, 125]],  # spark 2 below K = 3
     ],
@@ -253,7 +254,7 @@ def test_refuted_spark_runs_the_norm_proof_once_per_deficient_candidate(monkeypa
     """spark searches level K = min(rows, cols) first, up to its first
     dependent subset, then levels 1, 2, ... up to the witness, with level
     K's result kept: every deficient candidate is proved once, in that order."""
-    p = _modular_maps(1)[0]
+    p = _root_images(1, 0)[0]
     a = ExactMatrix.from_rows(rows)
     columns = list(zip(*rows))
     top = min(len(rows), len(columns))
@@ -295,7 +296,7 @@ def test_refuted_dft_sweeps_make_no_q_w_inverse(monkeypatch):
 def _kernel_cases(seed):
     """Batches of m x k matrices mod p (k <= m) as lists of rows, with
     entries near 0 and p and zero, repeated and combined columns."""
-    p = _modular_maps(1)[0]
+    p = _root_images(1, 0)[0]
     rng = random.Random(seed)
     near_p = [0, 1, 2, p - 1, p - 2, (p - 1) // 2]
     for _ in range(200):
@@ -323,7 +324,7 @@ def _kernel_cases(seed):
 
 
 def test_rectangular_kernel_matches_rank_mod_p():
-    p = _modular_maps(1)[0]
+    p = _root_images(1, 0)[0]
     flags = set()
     for m, k, mats in _kernel_cases(17):
         stack = np.array(mats, dtype=np.int64).reshape(len(mats), m, k)
@@ -337,7 +338,7 @@ def test_rectangular_kernel_matches_rank_mod_p():
 def test_block_kernel_flags_every_deficient_image():
     """The kernel without row exchanges on R_k A, R the seeded mixing,
     against the rank of A mod p."""
-    p = _modular_maps(1)[0]
+    p = _root_images(1, 0)[0]
     flags = set()
     for m, k, mats in _kernel_cases(17):
         # The block search takes the first k rows of the mixing it draws for
@@ -356,7 +357,7 @@ def test_block_kernel_flags_every_deficient_image():
 
 
 def test_mixing_stays_exact_past_2_16_rows():
-    p = _modular_maps(1)[0]
+    p = _root_images(1, 0)[0]
     m = (1 << 16) + 3
     images = np.full((1, 1, m), p - 1, dtype=np.int64)
     want = sum(_row_mixing(1, m, p)[0].tolist()) * (p - 1) % p

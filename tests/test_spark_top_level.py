@@ -25,7 +25,7 @@ from sparkforge.spark_engine import (
     _block_search,
     _first_dependent,
     _lex_rank,
-    _modular_maps,
+    _root_images,
     spark,
 )
 
@@ -144,7 +144,7 @@ def test_every_dft_row_subset_matches_the_ascending_sweep(order):
 
 def _count_stacked(monkeypatch):
     """Record (k, subsets) per block the level search stacks mod the first prime."""
-    p = _modular_maps(1)[0]
+    p = _root_images(1, 0)[0]
     blocks = []
     vanishing = spark_engine._last_pivot_vanishes
 

@@ -2,9 +2,10 @@
 
 _subset_rows(n, k, orbits) yields the size-k subsets of range(n) in lex
 order (orbits False) or the lex-min member of each affine orbit (orbits
-True) as arrays of column indices, replayed from one LRU byte cache and
-walked on from its last row.  The plain tables are checked against
-itertools.combinations, resumption after every row, indices past uint8,
+True) as arrays of column indices, replayed from one LRU byte cache; the
+rows past the kept ones come from a walk that starts again at the first
+row.  The plain tables are checked against itertools.combinations,
+resumption after every kept row, indices past uint8,
 the byte bound under a mix of plain and orbit keys, and a plain walk
 stopped early.  Every witness a certificate reports must be a tuple of
 Python ints, so that the CLI's JSON output never meets a numpy integer.
@@ -23,11 +24,11 @@ from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.matroid import BipartiteGraph, girth_via_representation
 from sparkforge.spark_engine import _lex_walk, is_full_spark, spark
 
-from test_orbit_sweep import _cache, _held, _kept, _representatives, _walk, _walks
+from test_orbit_sweep import _cache, _held, _keep, _kept, _representatives, _walk, _walks
 
 
-def _lex(n, k, after=None):
-    return [tuple(row) for rows in _lex_walk(n, k, after) for row in rows.tolist()]
+def _lex(n, k):
+    return [tuple(row) for rows in _lex_walk(n, k) for row in rows.tolist()]
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -43,11 +44,14 @@ def test_plain_tables_are_the_combinations_in_lex_order(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(11))
-def test_plain_walk_resumes_after_every_row(n):
+def test_plain_walk_resumes_after_every_row(n, monkeypatch):
+    cache = _cache(monkeypatch)
     for k in range(n + 1):
         combos = list(itertools.combinations(range(n), k))
-        for i, row in enumerate(combos):
-            assert _lex(n, k, row) == combos[i + 1 :], (n, k, row)
+        for i in range(len(combos)):
+            _keep(cache, n, k, False, combos[: i + 1])
+            assert list(_representatives(n, k, False)) == combos, (n, k, i)
+            assert _kept(cache, n, k, False) == (combos, True)
 
 
 @pytest.mark.parametrize("n, k", [(9, 4), (12, 6), (7, 0), (7, 7), (12, 1)])
@@ -65,17 +69,21 @@ def test_cache_resumes_a_plain_table_after_any_stored_prefix(n, k, monkeypatch):
         assert _kept(cache, n, k, False) == (combos, True)
 
 
-def test_plain_tables_past_uint8_hold_every_index():
+def test_plain_tables_past_uint8_hold_every_index(monkeypatch):
     assert spark_engine._index_dtype(256) == np.uint8
     assert spark_engine._index_dtype(257) == np.uint16
     for k in (1, 2):
         tables = list(_lex_walk(300, k))
         assert all(rows.dtype == np.uint16 for rows in tables)
         assert _lex(300, k) == list(itertools.combinations(range(300), k))
-    after = (250, 270, 297)
-    assert _lex(300, 3, after) == [(250, 270, 298), (250, 270, 299), (250, 271, 272)] + [
-        s for s in itertools.combinations(range(250, 300), 3) if s > (250, 271, 272)
-    ]
+    # A kept uint16 prefix ending past column 255, and the rows after it.
+    cache = _cache(monkeypatch)
+    combos = list(itertools.combinations(range(300), 2))
+    stop = combos.index((270, 297)) + 1
+    _keep(cache, 300, 2, False, combos[:stop])
+    tables = list(spark_engine._subset_rows(300, 2, False))
+    assert all(rows.dtype == np.uint16 for rows in tables) and len(tables[0]) == stop
+    assert [tuple(row) for rows in tables for row in rows.tolist()] == combos
 
 
 def test_spark_witness_past_column_255_is_exact():
@@ -131,8 +139,8 @@ def test_plain_walk_stopped_early_is_kept_and_resumed(monkeypatch):
     for _ in range(2):
         assert list(_representatives(16, 6, False)) == combos
         assert _kept(cache, 16, 6, False) == (combos, True)
-    # One walk, on from the last kept row; the second call only replays.
-    assert walks == [(16, 6, kept[-1])]
+    # One walk, from the first row again; the second call only replays.
+    assert walks == [(16, 6)]
 
 
 def test_early_refutation_walks_only_a_prefix_of_a_plain_level(monkeypatch):
