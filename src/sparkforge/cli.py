@@ -19,7 +19,7 @@ import numpy as np
 
 from . import constructions, dft_analysis, matroid
 from .errors import BudgetExceeded, CapExceeded, SparkforgeError
-from .exact_arith import ExactScalar, euler_phi, CycInt
+from .exact_arith import CycInt, ExactScalar, euler_phi, is_prime_power
 from .exact_linalg import ExactMatrix, dft_submatrix
 from .spark_engine import (
     DEFAULT_BUDGET,
@@ -276,17 +276,15 @@ def _cmd_full_spark(args):
     target = _matrix_for_spark(args)
     if not isinstance(target, ExactMatrix):
         raise UsageError("full-spark certifies exact matrices only; use spark --tol for floats")
-    cert = is_full_spark(target, budget=args.budget, threads=args.threads)
+    cert = is_full_spark(target, budget=args.budget)
     return cert.as_dict(), 0 if cert.full_spark else 1
 
 
 def _cmd_dft_analyze(args):
     index_set = _index_set(args.n, args)
     result = dft_analysis.is_uniformly_distributed(index_set)
-    try:
-        prime_power, full = True, dft_analysis.full_spark_prime_power(index_set).full_spark
-    except SparkforgeError:
-        prime_power, full = False, None
+    prime_power = is_prime_power(index_set.order)  # uniformity decides full spark there
+    full = result.uniform if prime_power else None
     violations = [
         {"divisor": rep.divisor, "coset_counts": list(rep.coset_counts), "lo": rep.lo, "hi": rep.hi}
         for rep in result.violations
@@ -404,8 +402,6 @@ COMMANDS = {
     ]),
     "full-spark": ("certify every maximal minor invertible", _cmd_full_spark, [
         *_MATRIX_OR_DFT,
-        ("--threads", {"type": int, "default": 1,
-                       "help": "accepted for compatibility; the sweep runs in one process"}),
         *_ROWS, _BUDGET,
     ]),
     "dft-analyze": ("coset uniformity of DFT row sets", _cmd_dft_analyze, [

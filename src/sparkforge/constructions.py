@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     ZeroColumn,
 )
-from .exact_arith import CycInt, ExactScalar, is_prime, root_power
+from .exact_arith import CycInt, ExactScalar, is_prime
 from .exact_linalg import ExactMatrix, dft_submatrix
 from .dft_analysis import IndexSet
 

@@ -60,7 +60,7 @@ from .errors import (
     ShapeError,
 )
 from .exact_arith import _root_table, divisors, euler_phi
-from .exact_linalg import ExactMatrix
+from .exact_linalg import ExactMatrix, _integral_rows
 from .exact_linalg import det_exact, rank_exact  # noqa: F401 (bench/run.py --trace 1 wraps them)
 
 __all__ = [
@@ -281,42 +281,40 @@ def _root_images(order: int, index: int) -> tuple[int, np.ndarray]:
 def _integral_coeffs(a: ExactMatrix) -> np.ndarray:
     """Power-basis coefficients of a as Python ints, shape (cols, rows, phi).
 
-    Each row with a denominator other than 1 is first scaled by the lcm of
-    its denominators, which puts every entry in Z[w] and changes no minor's
-    vanishing.  The ints stay exact: entries may pass 2^64, and the Hadamard
-    bound of _dependent_by_norm is taken on them.
+    The rows are those exact_linalg._integral_rows clears for det_exact:
+    each Q(w) row scaled into Z[w], which changes no minor's vanishing.  The
+    ints stay exact: entries may pass 2^64, and the Hadamard bound of
+    _dependent_by_norm is taken on them.
     """
     if a.is_integer():
         return np.array(a.entries, dtype=object).reshape(a.rows, a.cols, 1).swapaxes(0, 1)
-    flat = itertools.chain.from_iterable([e.num.coeffs for e in a.entries])
+    flat = itertools.chain.from_iterable([e.coeffs for row in _integral_rows(a)[0] for e in row])
     coeffs = np.fromiter(flat, dtype=object).reshape(a.rows, a.cols, euler_phi(a.order))
-    dens = [e.den for e in a.entries]
-    if dens.count(1) < len(dens):
-        dens = np.array(dens, dtype=object).reshape(a.rows, a.cols)
-        scaled = np.flatnonzero((dens != 1).any(axis=1))
-        lcms = np.array([math.lcm(*row) for row in dens[scaled].tolist()], dtype=object)
-        coeffs[scaled] *= (lcms[:, None] // dens[scaled])[:, :, None]
     return coeffs.swapaxes(0, 1)
 
 
 # _mulmod splits each residue of its right factor (below 2^31) into 16-bit
-# limbs and multiplies the limbs in int64.  A product stays below 2^47, so a
-# sum of fewer than 2^16 of them is below 2^63 - 2^48 + 2^31, and the reduced
-# high sum shifted back (below 2^47) can be added to the low one.
+# limbs and multiplies the limbs in int64, over runs of fewer than 2^16
+# terms.  A product stays below 2^47 - 2^31, so a run's low sum is below
+# 2^63 - 2^48 + 2^31.  Its reduced high sum shifted back is below 2^47, and
+# the residue carried from the runs before is below 2^31, so all three add
+# to less than 2^47 + (2^63 - 2^48 + 2^31) + 2^31 < 2^63.
 _LIMB_BITS = 16
 _MAX_TERMS = (1 << _LIMB_BITS) - 1
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, exact in int64, for residues a and b mod p < 2^31."""
-    if b.shape[0] > _MAX_TERMS:
-        raise ValueError(f"{b.shape[0]} terms overflow the int64 limb sums")
-    lo = a @ (b & ((1 << _LIMB_BITS) - 1))
-    out = a @ (b >> _LIMB_BITS)
-    out %= p
-    out <<= _LIMB_BITS
-    out += lo
-    out %= p
+    """a @ b mod p, exact in int64 for residues a and b mod p < 2^31 and any
+    number of terms: runs of _MAX_TERMS rows of b, reduced between runs."""
+    for s in range(0, b.shape[0] or 1, _MAX_TERMS):
+        a_run, b_run = a[..., s : s + _MAX_TERMS], b[s : s + _MAX_TERMS]
+        run = a_run @ (b_run >> _LIMB_BITS)
+        run %= p
+        run <<= _LIMB_BITS
+        run += a_run @ (b_run & ((1 << _LIMB_BITS) - 1))
+        if s:
+            run += out
+        out = np.remainder(run, p, out=run)
     return out
 
 
@@ -346,22 +344,6 @@ def _row_mixing(k: int, m: int, p: int) -> np.ndarray:
     mixing = np.array([rng.randrange(p) for _ in range(k * m)], dtype=np.int64).reshape(k, m)
     mixing.flags.writeable = False  # shared by every caller through the cache
     return mixing
-
-
-def _mixed_images(images: np.ndarray, p: int) -> np.ndarray:
-    """images (maps, cols, rows) with each column a_j taken to R a_j mod p,
-    R = _row_mixing(K, rows, p), K = min(rows, cols): shape (maps, cols, K).
-
-    The product runs over the rows in runs of _MAX_TERMS, so any row count
-    keeps every int64 sum exact.
-    """
-    n, m = images.shape[1:]
-    mixing = _row_mixing(min(m, n), m, p)
-    mixed = _mulmod(images[:, :, :_MAX_TERMS], mixing[:, :_MAX_TERMS].T, p)
-    for s in range(_MAX_TERMS, m, _MAX_TERMS):
-        mixed += _mulmod(images[:, :, s : s + _MAX_TERMS], mixing[:, s : s + _MAX_TERMS].T, p)
-        mixed %= p
-    return mixed
 
 
 def _vanishing_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
@@ -406,13 +388,14 @@ def _block_search(a: ExactMatrix):
     """A level search over the columns of a, in lexicographic blocks mod p.
 
     The columns' images under every map of the first prime p are mixed
-    once (_mixed_images), and each size-k subset S of a block is stacked
-    as the k x k matrix R_k A_S, R_k the first k rows of the mixing.  A
-    nonzero last pivot (_last_pivot_vanishes) proves S independent.  The
-    first subset flagged under every map goes to _dependent_by_norm, which
-    eliminates it again with pivoting, mod p and further primes; if
-    one image there has rank k (a false flag, or p divides every k x k
-    minor) the search goes on.
+    once, by one _mulmod with R = _row_mixing(min(rows, cols), rows, p),
+    and each size-k subset S of a block is stacked as the k x k matrix
+    R_k A_S, R_k the first k rows of R, in blocks of up to
+    _BLOCK_ENTRIES // (phi k^2) subsets.  A nonzero last pivot
+    (_last_pivot_vanishes) proves S independent.  The first subset flagged
+    under every map goes to _dependent_by_norm, which eliminates it again
+    with pivoting, mod p and further primes; if one image there has rank k
+    (a false flag, or p divides every k x k minor) the search goes on.
 
     The images come from _images, under the first prime here and under
     every prime of the proof: a gather when every entry is a root of unity
@@ -437,7 +420,7 @@ def _block_search(a: ExactMatrix):
     p, images = _images(a.order, 0, exponents, coeffs)
     orbits = _dft_rows(a, exponents)
     phi, n, m = images.shape
-    mixed = _mixed_images(images, p)
+    mixed = _mulmod(images, _row_mixing(min(m, n), m, p).T, p)
 
     def dependent(cols):
         cols = list(cols)
@@ -450,7 +433,7 @@ def _block_search(a: ExactMatrix):
         return _dependent_by_norm(a.order, None, sub, math.prod((l1 * l1).sum(axis=1).tolist()))
 
     def search(k):
-        cap = max(1, _BLOCK_ENTRIES // max(1, phi * m * k))
+        cap = max(1, _BLOCK_ENTRIES // max(1, phi * k * k))
         rows = _subset_rows(n, k, orbits)
         try:
             for block in _blocks(rows, min(_FIRST_BLOCK, cap), cap):

@@ -402,14 +402,12 @@ def _one_line_error(code, doc, err):
     return code == 2 and doc is None and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_full_spark_threads_below_one_exit_two(capsys):
-    for value in ("0", "-3"):
+def test_full_spark_has_no_threads_option_exit_two(capsys):
+    for value in ("1", "2", "0"):
         code, doc, err = _run(
             capsys, ["full-spark", "--dft", "7", "--rows", "0,1", "--threads", value]
         )
-        assert _one_line_error(code, doc, err) and "threads must be at least 1" in err
-    code, doc, _ = _run(capsys, ["full-spark", "--dft", "7", "--rows", "0,1", "--threads", "2"])
-    assert code == 0 and doc["full_spark"] is True
+        assert _one_line_error(code, doc, err) and "unrecognized arguments: --threads" in err
 
 
 def test_dft_rows_with_repeats_or_non_integers_exit_two(capsys, tmp_path):

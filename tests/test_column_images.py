@@ -79,11 +79,15 @@ def test_column_images_are_exact_at_the_limb_bound():
     assert _mulmod(w, residues, p).tolist() == [[phi * (p - 1) * residue % p]]
 
 
-def test_column_images_refuse_a_sum_that_could_wrap():
-    p = _root_images(1, 0)[0]
-    w = np.ones((1, 1 << 16), dtype=np.int64)
-    with pytest.raises(ValueError, match="overflow"):
-        _mulmod(w, np.zeros((1 << 16, 1), dtype=np.int64), p)
+def test_column_images_stay_exact_past_2_16_terms():
+    # 2^16 + 3 terms, every entry p - 1 under the prime 2^31 - 1: a full run
+    # of 2^16 - 1 terms, then a run of 4 added to the residue carried over.
+    p = 2**31 - 1
+    terms = (1 << 16) + 3
+    a = np.full((1, terms), p - 1, dtype=np.int64)
+    b = np.full((terms, 1), p - 1, dtype=np.int64)
+    want = sum(x * y for x, y in zip(a[0].tolist(), b[:, 0].tolist())) % p
+    assert _mulmod(a, b, p).tolist() == [[want]]
 
 
 @st.composite

@@ -1,5 +1,8 @@
-"""The package namespace is exactly the union of its modules' exports, and
-every cache in it is bounded."""
+"""The package namespace is exactly the union of its modules' exports,
+every cache in it is bounded, and every name a module imports is used."""
+
+import ast
+from pathlib import Path
 
 import sparkforge
 from sparkforge import (
@@ -43,3 +46,31 @@ def test_every_lru_cache_has_a_finite_maxsize():
                     caches[f"{module.__name__}.{key}"] = obj.cache_parameters()["maxsize"]
     assert "sparkforge.exact_arith._ring" in caches and "sparkforge.spark_engine._root_images" in caches
     assert all(maxsize is not None for maxsize in caches.values()), caches
+
+
+def test_every_imported_name_is_used():
+    """A name imported by a module of the package is read in that module or
+    listed in its __all__, unless its import carries "# noqa: F401"."""
+    unused = []
+    for path in sorted(Path(sparkforge.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

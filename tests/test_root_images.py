@@ -23,7 +23,6 @@ from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.spark_engine import (
     _images,
     _integral_coeffs,
-    _mixed_images,
     _root_exponents,
     _root_images,
     is_full_spark,
@@ -58,14 +57,15 @@ def _block_search_images(a):
     """The images _block_search mixes, under the first prime."""
     seen = []
 
-    def mixed_images(images, p):
-        seen.append(images)
-        return _mixed_images(images, p)
+    def images(*args):
+        seen.append(_images(*args))
+        return seen[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spark_engine, "_mixed_images", mixed_images)
+        mp.setattr(spark_engine, "_images", images)
         spark_engine._block_search(a)
-    return seen[0]
+    assert seen[0][0] == _root_images(a.order, 0)[0]
+    return seen[0][1]
 
 
 def _coefficient_path(a):

@@ -26,7 +26,7 @@ from sparkforge.spark_engine import (
     DEFAULT_BUDGET,
     SparkCertificate,
     _last_pivot_vanishes,
-    _mixed_images,
+    _mulmod,
     _root_images,
     _row_mixing,
     _vanishing_mod_p,
@@ -346,7 +346,7 @@ def test_block_kernel_flags_every_deficient_image():
         assert (_row_mixing(m, m, p)[:k] == _row_mixing(k, m, p)).all()
         # The batch on the axis of the maps: (batch, k columns, m rows).
         images = np.array(mats, dtype=np.int64).reshape(len(mats), m, k).swapaxes(1, 2)
-        flagged = _last_pivot_vanishes(_mixed_images(images, p), p).tolist()
+        flagged = _last_pivot_vanishes(_mulmod(images, _row_mixing(k, m, p).T, p), p).tolist()
         ranks = [_rank_mod_p(rows, p) for rows in mats]
         assert all(f for f, r in zip(flagged, ranks) if r < k), mats
         assert all(r == k for f, r in zip(flagged, ranks) if not f), mats
@@ -361,10 +361,38 @@ def test_mixing_stays_exact_past_2_16_rows():
     m = (1 << 16) + 3
     images = np.full((1, 1, m), p - 1, dtype=np.int64)
     want = sum(_row_mixing(1, m, p)[0].tolist()) * (p - 1) % p
-    assert _mixed_images(images, p).tolist() == [[[want]]]
+    assert _mulmod(images, _row_mixing(1, m, p).T, p).tolist() == [[[want]]]
     a = ExactMatrix.from_rows([[1, i % 2] for i in range(m)])
     cert = spark(a)
     assert cert.sentinel and cert.checked_subsets == 3
+
+
+def test_blocks_stack_up_to_block_entries_at_every_size(monkeypatch):
+    """A block of a size-k level stacks phi k^2 entries per subset, up to
+    _BLOCK_ENTRIES in all, however many more rows than k the matrix has."""
+    entries = 1 << 8
+    shapes = []
+    kernel = spark_engine._last_pivot_vanishes
+
+    def recording(stack, p):
+        shapes.append(stack.shape)
+        return kernel(stack, p)
+
+    monkeypatch.setattr(spark_engine, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(spark_engine, "_last_pivot_vanishes", recording)
+    for a in (
+        ExactMatrix.from_rows([[b**i for b in range(1, 17)] for i in range(6)]),  # phi = 1
+        dft_submatrix(7, (0, 1, 3, 5, 6), range(6)),  # phi = 6, the plain sweep
+    ):
+        search = spark_engine._block_search(a)
+        for k in (2, 3):
+            shapes.clear()
+            assert search(k) is None
+            per_subset = euler_phi(a.order) * k * k
+            stacked = [math.prod(shape) for shape in shapes]
+            assert all(shape[1:] == (k, k) for shape in shapes)
+            assert sum(stacked) == math.comb(a.cols, k) * per_subset
+            assert max(stacked) == entries // per_subset * per_subset
 
 
 def test_zero_mixing_flags_every_subset_and_changes_no_certificate(monkeypatch):
