@@ -201,7 +201,9 @@ def hall_girth(g: BipartiteGraph, budget: int = DEFAULT_BUDGET) -> GirthResult:
     """
     n = g.ground_size
     masks = [sum(1 << v for v in nbrs) for nbrs in g.adj]
-    girth, witness, _ = _first_dependent(n, n, budget, lambda k: _first_violation(masks, k))
+    girth, witness, _ = _first_dependent(
+        n, range(1, n + 1), budget, lambda k: _first_violation(masks, k)
+    )
     return GirthResult(girth=girth, ground_size=n, witness=witness, method="hall_oracle")
 
 

@@ -5,33 +5,35 @@ subset, with sentinel cols+1 when every column subset is independent.  A
 matrix with M rows is "full spark" when the spark equals M+1, equivalently
 when every MxM column submatrix is invertible.
 
-One subset sweep, _first_dependent, decides spark, the numeric probe and
-the Hall girth of matroid: sizes 1, 2, ... in turn, each entered only when
-its whole level fits in the budget and searched in lexicographic column
-order.  The witness reported is the lexicographically smallest dependent
-subset at the answer size, whatever the thread count.  When the whole sweep
-fits the budget, spark first searches its top size min(rows, cols): subsets
-of independent sets are independent, so one top level can settle all.  The
-numeric probe keeps the plain order (rank under a float tolerance is not
-monotone), and so does Hall girth, whose top level is the whole ground set.
+One subset sweep, _first_dependent, decides spark, the full-spark check,
+the numeric probe and the Hall girth of matroid: the sizes it is given (1,
+2, ... or the single size M of a full-spark check) in turn, each entered
+only when its whole level fits in the budget and searched in lexicographic
+column order.  The witness reported is the lexicographically smallest
+dependent subset at the answer size, whatever the thread count.  When the
+whole sweep fits the budget, spark first searches its top size
+min(rows, cols): subsets of independent sets are independent, so one top
+level can settle all.  The numeric probe keeps the plain order (rank under
+a float tolerance is not monotone), and so does Hall girth, whose top level
+is the whole ground set.
 
-The numeric probe and Hall girth test one subset at a time.  spark, and
-the full-spark check of the single size M, search in blocks mod p: the
-matrix is mapped to F_p, p = 1 (mod N) a prime above 2^30, under each of
-the phi(N) ring maps Z[w] -> F_p, its rows are mixed once by a fixed
-seeded matrix R, and a block is eliminated with numpy without row
-exchanges.  One function, _images, maps the matrix for the search and for
-every prime of the proof below: a matrix of roots of unity w^t, such as a
-DFT submatrix, by one gather from the images of the N powers of w, any
-other matrix through its power-basis coefficients.  A subset whose k x k
-image R_k A_S has a nonzero last pivot is independent, whatever R is:
-rank (R_k A_S) <= rank A_S.  A random R makes the other outcome, a flag,
-rare for independent subsets.  A subset flagged under every map is
-dependent only if a norm-bound proof says so: it is eliminated with
-pivoting mod p and then mod further primes, until their product exceeds a
-Hadamard bound on every conjugate of every minor (k^(k/2) for roots of
-unity), and it stays deficient under all of their maps.  No Q(w)
-arithmetic runs.
+The numeric probe and Hall girth test one subset at a time.  spark and
+the full-spark check search in blocks mod p: the matrix is mapped to F_p,
+p = 1 (mod N) a prime above 2^30, under the first of the phi(N) ring maps
+Z[w] -> F_p, its rows are mixed once by a fixed seeded matrix R, and a
+block is eliminated with numpy without row exchanges.  One function,
+_images, maps the matrix for the search and for every prime of the proof
+below: a matrix of roots of unity w^t, such as a DFT submatrix, by one
+gather from the images of the N powers of w, any other matrix through its
+power-basis coefficients.  A subset whose k x k image R_k A_S has a
+nonzero last pivot is independent, whatever R is: rank (R_k A_S) <= rank
+A_S.  A dependent subset is deficient under every map, so the one map
+flags it; a random R makes a flag rare for other subsets.  A flagged
+subset is decided by a norm-bound proof: it is eliminated with pivoting
+under every map of p and then of further primes, until their product
+exceeds a Hadamard bound on every conjugate of every minor (k^(k/2) for
+roots of unity), and it is dependent when it stays deficient under all of
+their maps.  No Q(w) arithmetic runs.
 
 When the matrix is rows of the N-th DFT over all N columns, read off the
 exponents of its roots, the rank of a column subset is constant on its
@@ -175,19 +177,19 @@ def _lex_rank(n: int, combo: tuple[int, ...]) -> int:
 
 
 def _first_dependent(
-    n: int, max_k: int, budget: int, search
+    n: int, sizes, budget: int, search
 ) -> tuple[int, tuple[int, ...] | None, int]:
     """The one subset sweep: (k, cols, checked) for the first dependent subset.
 
-    Sizes 1..max_k are taken in turn, and a size is entered only when its
-    whole level fits in what is left of the budget; BudgetExceeded names the
+    The sizes are taken in turn, and a size is entered only when its whole
+    level fits in what is left of the budget; BudgetExceeded names the
     first size that does not.  ``search(k)`` returns the lexicographically
     first dependent size-k subset of range(n), or None; ``checked`` counts
     every subset up to and including the answer.  When no subset is
-    dependent the answer is (max_k + 1, None, checked).
+    dependent the answer is (max(sizes) + 1, None, checked), 1 for no size.
     """
     checked = 0
-    for k in range(1, max_k + 1):
+    for k in sizes:
         level = math.comb(n, k)
         if checked + level > budget:
             raise BudgetExceeded(
@@ -198,7 +200,7 @@ def _first_dependent(
         if cols is not None:
             return k, cols, checked + _lex_rank(n, cols) + 1
         checked += level
-    return max_k + 1, None, checked
+    return max(sizes, default=0) + 1, None, checked
 
 
 def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
@@ -218,7 +220,7 @@ def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
     total = sum(math.comb(n, k) for k in range(1, top + 1))
     if total <= budget and search(top) is None:
         return SparkCertificate(top + 1, m, n, None, total, "exact", budget)
-    k, witness, checked = _first_dependent(n, top, budget, search)
+    k, witness, checked = _first_dependent(n, range(1, top + 1), budget, search)
     return SparkCertificate(
         spark=k, rows=m, cols=n, witness=witness,
         checked_subsets=checked, mode="exact", budget=budget,
@@ -387,15 +389,16 @@ def _last_pivot_vanishes(stack: np.ndarray, p: int) -> np.ndarray:
 def _block_search(a: ExactMatrix):
     """A level search over the columns of a, in lexicographic blocks mod p.
 
-    The columns' images under every map of the first prime p are mixed
-    once, by one _mulmod with R = _row_mixing(min(rows, cols), rows, p),
-    and each size-k subset S of a block is stacked as the k x k matrix
+    The columns' images under the first map of the first prime p are
+    mixed once, by one _mulmod with R = _row_mixing(min(rows, cols), rows,
+    p), and each size-k subset S of a block is stacked as the k x k matrix
     R_k A_S, R_k the first k rows of R, in blocks of up to
-    _BLOCK_ENTRIES // (phi k^2) subsets.  A nonzero last pivot
-    (_last_pivot_vanishes) proves S independent.  The first subset flagged
-    under every map goes to _dependent_by_norm, which eliminates it again
-    with pivoting, mod p and further primes; if one image there has rank k
-    (a false flag, or p divides every k x k minor) the search goes on.
+    _BLOCK_ENTRIES // k^2 subsets.  A nonzero last pivot
+    (_last_pivot_vanishes) proves S independent; each flagged S goes in
+    turn to _dependent_by_norm, which eliminates it again with pivoting
+    under every map of p and of further primes.  If one image there has
+    rank k (a false flag, or a nonzero minor that the first map sends to
+    0) the search goes on.
 
     The images come from _images, under the first prime here and under
     every prime of the proof: a gather when every entry is a root of unity
@@ -419,8 +422,8 @@ def _block_search(a: ExactMatrix):
     coeffs = _integral_coeffs(a) if exponents is None else None
     p, images = _images(a.order, 0, exponents, coeffs)
     orbits = _dft_rows(a, exponents)
-    phi, n, m = images.shape
-    mixed = _mulmod(images, _row_mixing(min(m, n), m, p).T, p)
+    n, m = images.shape[1:]
+    mixed = _mulmod(images[0], _row_mixing(min(m, n), m, p).T, p)
 
     def dependent(cols):
         cols = list(cols)
@@ -433,14 +436,13 @@ def _block_search(a: ExactMatrix):
         return _dependent_by_norm(a.order, None, sub, math.prod((l1 * l1).sum(axis=1).tolist()))
 
     def search(k):
-        cap = max(1, _BLOCK_ENTRIES // max(1, phi * k * k))
+        cap = max(1, _BLOCK_ENTRIES // max(1, k * k))
         rows = _subset_rows(n, k, orbits)
         try:
             for block in _blocks(rows, min(_FIRST_BLOCK, cap), cap):
-                # [map, subset, column, row]: R_k A_S transposed, with its leading minors.
-                stack = mixed[:, :, :k].take(block, axis=1).reshape(phi * len(block), k, k)
-                flagged = _last_pivot_vanishes(stack, p).reshape(phi, len(block)).all(axis=0)
-                for j in np.flatnonzero(flagged):
+                # [subset, column, row]: R_k A_S transposed, with its leading minors.
+                stack = mixed[:, :k].take(block, axis=0)
+                for j in np.flatnonzero(_last_pivot_vanishes(stack, p)):
                     cols = tuple(block[j].tolist())
                     if dependent(cols):
                         return cols
@@ -640,8 +642,9 @@ def _dependent_by_norm(
     search's own, until P^2 > h2, and the images under each are eliminated
     with pivoting (_vanishing_mod_p): the columns are dependent if they
     stay deficient under every map of every prime, and independent as
-    soon as one image has rank k (Cabay and Lam, 1977).  The block
-    search's flag is not trusted, so the first prime is checked here too.
+    soon as one image has rank k (Cabay and Lam, 1977).  The block search
+    flags under the first map of the first prime only, so the proof starts
+    at that prime and checks all of its maps.
     """
     modulus, index = 1, 0
     while modulus * modulus <= h2:
@@ -658,27 +661,21 @@ def is_full_spark(
 ) -> SparkCertificate:
     """Check every MxM column submatrix for invertibility, exactly.
 
-    The single size M is searched by _block_search, and the whole sweep
-    must fit in the budget.  A minor with a nonzero image under some ring
-    map Z[w] -> F_p is nonzero; a minor whose images all vanish is zero
-    when the norm bound proves it, and the first such minor is the
-    witness.  ``threads`` is accepted for compatibility and changes nothing.
+    _first_dependent searches the single size M by _block_search, within
+    the budget.  A minor with a nonzero image under some ring map
+    Z[w] -> F_p is nonzero; a minor whose images all vanish is zero when
+    the norm bound proves it, and the first such minor is the witness.
+    ``threads`` is accepted for compatibility and changes nothing.
     """
     m, n = a.rows, a.cols
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if m > n:
         raise ShapeError(f"full spark needs cols >= rows, got {m}x{n}")
-    total = math.comb(n, m)
-    if total > budget:
-        raise BudgetExceeded(
-            f"sweep needs {total} subsets, budget {budget}", k_reached=m
-        )
-    witness = _block_search(a)(m)
+    k, witness, checked = _first_dependent(n, (m,), budget, _block_search(a))
     return SparkCertificate(
-        spark=m + 1 if witness is None else m, rows=m, cols=n, witness=witness,
-        checked_subsets=total if witness is None else _lex_rank(n, witness) + 1,
-        mode="exact", budget=budget,
+        spark=k, rows=m, cols=n, witness=witness,
+        checked_subsets=checked, mode="exact", budget=budget,
     )
 
 
@@ -710,7 +707,7 @@ def numeric_spark_probe(
     def search(k):
         return next(filter(dependent, itertools.combinations(range(n), k)), None)
 
-    k, witness, checked = _first_dependent(n, min(m, n), budget, search)
+    k, witness, checked = _first_dependent(n, range(1, min(m, n) + 1), budget, search)
     return SparkCertificate(
         spark=k, rows=m, cols=n, witness=witness,
         checked_subsets=checked, mode="numeric", budget=budget,

@@ -67,7 +67,7 @@ def test_column_images_match_python_sums(order, data):
     assert images.tolist() == _images_by_hand(coeffs, p, w)
 
 
-def test_column_images_are_exact_at_the_limb_bound():
+def test_mulmod_is_exact_at_the_limb_bound():
     # 2^16 - 1 terms under the prime 2^31 - 1, every map entry p - 1 and
     # every residue p - 2^16, whose low limb is 2^16 - 1: the low limb sum
     # comes within 2^49 of 2^63, past which int64 wraps.
@@ -79,7 +79,7 @@ def test_column_images_are_exact_at_the_limb_bound():
     assert _mulmod(w, residues, p).tolist() == [[phi * (p - 1) * residue % p]]
 
 
-def test_column_images_stay_exact_past_2_16_terms():
+def test_mulmod_stays_exact_past_2_16_terms():
     # 2^16 + 3 terms, every entry p - 1 under the prime 2^31 - 1: a full run
     # of 2^16 - 1 terms, then a run of 4 added to the residue carried over.
     p = 2**31 - 1

@@ -1,5 +1,6 @@
 """The package namespace is exactly the union of its modules' exports,
-every cache in it is bounded, and every name a module imports is used."""
+every cache in it is bounded, every name a module imports is used, and
+every private helper is called."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,21 @@ def test_every_imported_name_is_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_private_function_and_class_is_referenced():
+    """A module-level function or class whose name starts with one
+    underscore is named somewhere in the package outside its own
+    definition, as a name or as an attribute."""
+    defined, referenced = [], set()
+    for path in sorted(Path(sparkforge.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if is_def and node.name.startswith("_") and not node.name.startswith("__"):
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+                names.discard(node.name)
+            referenced |= names
+    assert len(defined) > 50
+    assert [where for name, where in defined if name not in referenced] == []

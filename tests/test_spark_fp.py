@@ -233,12 +233,18 @@ def test_full_spark_matrices_never_call_rank_exact(monkeypatch):
     # Rows {0, 1, 3} of the prime-order DFT, full spark by Chebotarev.
     cert = spark(dft_submatrix(7, (0, 1, 3)))
     assert cert.full_spark and cert.checked_subsets == 7 + 21 + 35
-    # w - g vanishes under the map w -> g alone: one image of full rank
-    # proves a subset independent.
+    assert calls == []
+
+
+def test_a_flag_under_the_first_map_alone_is_decided_by_the_proof(monkeypatch):
+    """w - g vanishes under the first map w -> g alone.  The block search
+    flags it there, and the norm-bound proof, which checks every map of the
+    first prime, finds an image of full rank: independent, once."""
+    calls = _count_proofs(monkeypatch)
     g = int(_root_images(5, 0)[1][0, 1])
     a = ExactMatrix(1, 2, [ExactScalar(CycInt(5, [-g, 1, 0, 0])), ExactScalar.one(5)], 5)
     assert spark(a).full_spark
-    assert calls == []
+    assert calls == [[[-g]]]
 
 
 @pytest.mark.parametrize(
@@ -368,9 +374,10 @@ def test_mixing_stays_exact_past_2_16_rows():
 
 
 def test_blocks_stack_up_to_block_entries_at_every_size(monkeypatch):
-    """A block of a size-k level stacks phi k^2 entries per subset, up to
-    _BLOCK_ENTRIES in all, however many more rows than k the matrix has."""
-    entries = 1 << 8
+    """A block of a size-k level stacks k^2 entries per subset, one k x k
+    image under the first map, up to _BLOCK_ENTRIES in all, however many
+    more rows than k the matrix has and whatever phi is."""
+    entries = 1 << 5
     shapes = []
     kernel = spark_engine._last_pivot_vanishes
 
@@ -388,7 +395,7 @@ def test_blocks_stack_up_to_block_entries_at_every_size(monkeypatch):
         for k in (2, 3):
             shapes.clear()
             assert search(k) is None
-            per_subset = euler_phi(a.order) * k * k
+            per_subset = k * k
             stacked = [math.prod(shape) for shape in shapes]
             assert all(shape[1:] == (k, k) for shape in shapes)
             assert sum(stacked) == math.comb(a.cols, k) * per_subset

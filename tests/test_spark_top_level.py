@@ -3,9 +3,10 @@
 spark searches its top size K = min(rows, cols) first when the whole sweep
 fits the budget, and returns the sentinel-style answer K + 1 when no
 K-subset is dependent.  The oracle here is the plain ascending sweep over
-the same level search, _first_dependent(n, K, budget, _block_search(a)):
-the certificate JSON, or the BudgetExceeded message and k_reached, must be
-the same at the budgets around the whole sweep's size and at a small one.
+the same level search, _first_dependent(n, range(1, K + 1), budget,
+_block_search(a)): the certificate JSON, or the BudgetExceeded message and
+k_reached, must be the same at the budgets around the whole sweep's size
+and at a small one.
 The work-count tests pin down that a full-spark matrix stacks only its top
 level and that a refuted one searches no level twice.
 """
@@ -40,7 +41,7 @@ def ascending(a):
     search = functools.cache(_block_search(a))
 
     def sweep(budget):
-        k, witness, checked = _first_dependent(n, min(m, n), budget, search)
+        k, witness, checked = _first_dependent(n, range(1, min(m, n) + 1), budget, search)
         return SparkCertificate(k, m, n, witness, checked, "exact", budget)
 
     return sweep
