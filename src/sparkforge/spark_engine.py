@@ -228,9 +228,12 @@ def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
 
 
 # Subsets are decided modulo primes p = 1 (mod N) above 2^30, so every
-# residue, of an image or of the row mixing, stays below 2^31 and each
-# fraction-free update pk*x - a*y fits in int64.  Blocks of stacked subsets
-# start small, so that early refutations stay cheap, and double up to about
+# residue, of an image or of the row mixing, stays below 2^31, and each
+# fraction-free update r = pk*x - a*y has |r| < 2^62 in int64.  The block
+# kernel reduces r by r - (r // p)*p: the floor quotient times p lies in
+# (r - p, r], so it too stays below 2^62 + 2^31 < 2^63 in absolute value,
+# and the result is the residue in [0, p).  Blocks of stacked subsets start
+# small, so that early refutations stay cheap, and double up to about
 # _BLOCK_ENTRIES int64 entries.
 _PRIME_FLOOR = 1 << 30
 _FIRST_BLOCK = 32
@@ -321,10 +324,15 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _images(
-    order: int, index: int, exponents: np.ndarray | None, coeffs: np.ndarray | None
+    order: int,
+    index: int,
+    exponents: np.ndarray | None,
+    coeffs: np.ndarray | None,
+    maps: int | None = None,
 ) -> tuple[int, np.ndarray]:
     """(p, images) for the index-th prime p of _root_images: the columns'
-    images under every map of p, shape (maps, cols, rows).
+    images under the first ``maps`` maps of p, every map when None, shape
+    (maps, cols, rows).
 
     A matrix of roots w^t is given by its exponents T, shape (rows, cols),
     and its images are one gather from roots.  Any other is given by its
@@ -332,11 +340,12 @@ def _images(
     sum_t c_t g^(e_k t) is one _mulmod by the first phi columns of roots.
     """
     p, roots = _root_images(order, index)
+    roots = roots[:maps]
     if exponents is not None:
         return p, roots[:, exponents.T]
     cols, rows, phi = coeffs.shape
     residues = (coeffs % p).astype(np.int64).reshape(cols * rows, phi).T
-    return p, _mulmod(roots[:, :phi], residues, p).reshape(phi, cols, rows)
+    return p, _mulmod(roots[:, :phi], residues, p).reshape(len(roots), cols, rows)
 
 
 @functools.lru_cache(maxsize=16)
@@ -370,35 +379,40 @@ def _vanishing_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
 
 
 def _last_pivot_vanishes(stack: np.ndarray, p: int) -> np.ndarray:
-    """Flags, per k x k matrix in the stack, whose last pivot is 0 mod p.
+    """Flags, per k x k matrix stack[:, :, s] of a (k, k, subsets) stack,
+    whose last pivot is 0 mod p.
 
     Fraction-free elimination without row exchanges: each step replaces A
     by a00 A11 - a10 a01, whose determinant is a00^(k-2) det A.  So the
     last pivot is det A times powers of the earlier pivots, and a matrix
     left unflagged is invertible mod p.  An invertible matrix is flagged
     only when one of its leading minors of size k-2 or less vanishes.  The
-    stack is overwritten; k = 0 leaves no entry and no flag.
+    subset axis is innermost, so each step runs over contiguous runs of one
+    entry per subset, and reduces by floor division (see _PRIME_FLOOR).
+    k = 0 leaves no entry and no flag.
     """
-    for _ in range(stack.shape[1] - 1):
-        rest = stack[:, :1, :1] * stack[:, 1:, 1:]
-        rest -= stack[:, 1:, :1] * stack[:, :1, 1:]
-        stack = np.remainder(rest, p, out=rest)
-    return (stack == 0).any(axis=(1, 2))
+    for _ in range(stack.shape[0] - 1):
+        rest = stack[:1, :1] * stack[1:, 1:]
+        rest -= stack[1:, :1] * stack[:1, 1:]
+        rest -= rest // p * p
+        stack = rest
+    return (stack == 0).any(axis=(0, 1))
 
 
 def _block_search(a: ExactMatrix):
     """A level search over the columns of a, in lexicographic blocks mod p.
 
-    The columns' images under the first map of the first prime p are
-    mixed once, by one _mulmod with R = _row_mixing(min(rows, cols), rows,
-    p), and each size-k subset S of a block is stacked as the k x k matrix
-    R_k A_S, R_k the first k rows of R, in blocks of up to
-    _BLOCK_ENTRIES // k^2 subsets.  A nonzero last pivot
-    (_last_pivot_vanishes) proves S independent; each flagged S goes in
-    turn to _dependent_by_norm, which eliminates it again with pivoting
-    under every map of p and of further primes.  If one image there has
-    rank k (a false flag, or a nonzero minor that the first map sends to
-    0) the search goes on.
+    The columns' images under the first map of the first prime p, the only
+    map built here, are mixed once into the (min(rows, cols), cols) array
+    R A, by one _mulmod with R = _row_mixing(min(rows, cols), rows, p).
+    Each size-k subset S of a block is stacked as the k x k matrix R_k A_S,
+    R_k the first k rows of R, along the last axis of a (k, k, subsets)
+    array, in blocks of up to _BLOCK_ENTRIES // k^2 subsets.  A nonzero
+    last pivot (_last_pivot_vanishes) proves S independent; each flagged S
+    goes in turn to _dependent_by_norm, which eliminates it again with
+    pivoting under every map of p and of further primes.  If one image
+    there has rank k (a false flag, or a nonzero minor that the first map
+    sends to 0) the search goes on.
 
     The images come from _images, under the first prime here and under
     every prime of the proof: a gather when every entry is a root of unity
@@ -420,10 +434,10 @@ def _block_search(a: ExactMatrix):
     """
     exponents = _root_exponents(a)
     coeffs = _integral_coeffs(a) if exponents is None else None
-    p, images = _images(a.order, 0, exponents, coeffs)
+    p, images = _images(a.order, 0, exponents, coeffs, maps=1)
     orbits = _dft_rows(a, exponents)
     n, m = images.shape[1:]
-    mixed = _mulmod(images[0], _row_mixing(min(m, n), m, p).T, p)
+    mixed = _mulmod(_row_mixing(min(m, n), m, p), images[0].T, p)
 
     def dependent(cols):
         cols = list(cols)
@@ -440,8 +454,8 @@ def _block_search(a: ExactMatrix):
         rows = _subset_rows(n, k, orbits)
         try:
             for block in _blocks(rows, min(_FIRST_BLOCK, cap), cap):
-                # [subset, column, row]: R_k A_S transposed, with its leading minors.
-                stack = mixed[:, :k].take(block, axis=0)
+                # [row, column, subset]: R_k A_S for each subset S of the block.
+                stack = mixed[:k].take(block.T, axis=1)
                 for j in np.flatnonzero(_last_pivot_vanishes(stack, p)):
                     cols = tuple(block[j].tolist())
                     if dependent(cols):

@@ -65,6 +65,8 @@ def test_column_images_match_python_sums(order, data):
     assert q == p and images.dtype == np.int64
     assert images.shape == (w.shape[0],) + coeffs.shape[:2]
     assert images.tolist() == _images_by_hand(coeffs, p, w)
+    # The block search maps under the first map alone.
+    assert _images(order, index, None, coeffs, maps=1)[1].tolist() == images[:1].tolist()
 
 
 def test_mulmod_is_exact_at_the_limb_bound():

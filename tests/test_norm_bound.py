@@ -209,7 +209,7 @@ def test_dft_rows_are_detected_and_sweep_fewer_subsets(monkeypatch):
     eliminate = spark_engine._last_pivot_vanishes
 
     def counting(stack, p):
-        stacked.append(stack.shape[0])
+        stacked.append(stack.shape[2])
         return eliminate(stack, p)
 
     monkeypatch.setattr(spark_engine, "_last_pivot_vanishes", counting)

@@ -74,9 +74,9 @@ def _flags_and_deficiency(a, k):
     coeffs = _integral_coeffs(a) if exponents is None else None
     p, images = _images(a.order, 0, exponents, coeffs)
     maps, n, m = images.shape
-    mixed = _mulmod(images[0], _row_mixing(min(m, n), m, p).T, p)
+    mixed = _mulmod(_row_mixing(min(m, n), m, p), images[0].T, p)
     subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-    flagged = _last_pivot_vanishes(mixed[:, :k].take(subsets, axis=0), p)
+    flagged = _last_pivot_vanishes(mixed[:k].take(subsets.T, axis=1), p)
     stack = images.take(subsets, axis=1).reshape(maps * len(subsets), k, m).swapaxes(1, 2)
     deficient = _vanishing_mod_p(stack.copy(), p).reshape(maps, len(subsets))
     return flagged, deficient

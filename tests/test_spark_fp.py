@@ -350,9 +350,10 @@ def test_block_kernel_flags_every_deficient_image():
         # The block search takes the first k rows of the mixing it draws for
         # min(rows, cols) rows.
         assert (_row_mixing(m, m, p)[:k] == _row_mixing(k, m, p)).all()
-        # The batch on the axis of the maps: (batch, k columns, m rows).
+        # The batch on the axis of the maps: (batch, k columns, m rows),
+        # mixed to (batch, k columns, k rows) and stacked as (k rows, k columns, batch).
         images = np.array(mats, dtype=np.int64).reshape(len(mats), m, k).swapaxes(1, 2)
-        flagged = _last_pivot_vanishes(_mulmod(images, _row_mixing(k, m, p).T, p), p).tolist()
+        flagged = _last_pivot_vanishes(_mulmod(images, _row_mixing(k, m, p).T, p).T, p).tolist()
         ranks = [_rank_mod_p(rows, p) for rows in mats]
         assert all(f for f, r in zip(flagged, ranks) if r < k), mats
         assert all(r == k for f, r in zip(flagged, ranks) if not f), mats
@@ -397,7 +398,7 @@ def test_blocks_stack_up_to_block_entries_at_every_size(monkeypatch):
             assert search(k) is None
             per_subset = k * k
             stacked = [math.prod(shape) for shape in shapes]
-            assert all(shape[1:] == (k, k) for shape in shapes)
+            assert all(shape[:2] == (k, k) for shape in shapes)
             assert sum(stacked) == math.comb(a.cols, k) * per_subset
             assert max(stacked) == entries // per_subset * per_subset
 

@@ -151,7 +151,7 @@ def _count_stacked(monkeypatch):
 
     def counting(stack, q):
         if q == p:
-            blocks.append((stack.shape[2], stack.shape[0]))
+            blocks.append((stack.shape[0], stack.shape[2]))
         return vanishing(stack, q)
 
     monkeypatch.setattr(spark_engine, "_last_pivot_vanishes", counting)
