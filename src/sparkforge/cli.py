@@ -3,7 +3,8 @@
 Exit codes: 0 when the property holds or a value was computed, 1 when the
 property was refuted (the certificate carries the witness), 2 on usage or
 input errors, 3 when a subset budget or cap was exceeded.  Certificates go
-to stdout as a single JSON document; diagnostics go to stderr.
+to stdout as a single strict JSON document, with no NaN or infinity;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def _cmd_construct(args):
 def _matrix_for_spark(args):
     if args.dft is not None:
         rows = _index_set(args.dft, args)
-        cols = _parse_int_list(args.cols) if args.cols else None
+        cols = None if args.cols is None else _parse_int_list(args.cols)
         return dft_submatrix(rows.order, rows, cols)
     if args.matrix is None:
         raise UsageError("need --matrix (path or - for stdin) or --dft")
@@ -467,7 +468,7 @@ def run(argv: list[str]) -> int:
         doc, code = COMMANDS[args.command][1](args)
         if args.command != "construct":  # construct prints a bare matrix file
             doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
         return code
     except SystemExit as exc:  # only --help exits; parse errors raise UsageError
         return int(exc.code or 0)

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     BadModulus,
     EmptyBases,
-    IndexOutOfRange,
     NonFiniteEntry,
     NotPrime,
     RankDeficient,
@@ -87,17 +86,11 @@ class Frame:
 
 
 def _validate_rows(order: int, rows) -> tuple[int, ...]:
-    if isinstance(rows, IndexSet):
-        if rows.order != order:
-            raise ShapeError(f"index set order {rows.order} differs from {order}")
-        return rows.members
-    rows = list(rows)
-    for r in rows:
-        if not isinstance(r, int) or not 0 <= r < order:
-            raise IndexOutOfRange(f"row {r} outside 0..{order - 1}")
-    if len(set(rows)) != len(rows):
-        raise ValueError("duplicate rows")
-    return tuple(sorted(rows))
+    if not isinstance(rows, IndexSet):
+        rows = IndexSet.from_iterable(order, rows)
+    elif rows.order != order:
+        raise ShapeError(f"index set order {rows.order} differs from {order}")
+    return rows.members
 
 
 def vandermonde(bases, m: int) -> Frame:
@@ -246,12 +239,16 @@ def quadratic_residue_rows(order: int) -> IndexSet:
 def parseval_projection(f) -> Frame:
     """Closest Parseval frame (FF*)^(-1/2) F of a numerically full-rank frame.
 
-    Spark is preserved: the row map applied is invertible.  The result has
-    no exact shadow because the inverse square root is irrational.
+    A frame has rows and columns, and no more rows than columns: FF* is
+    invertible only then.  Spark is preserved: the row map applied is
+    invertible.  The result has no exact shadow because the inverse square
+    root is irrational.
     """
     arr = np.asarray(getattr(f, "matrix", f), dtype=complex)
-    if arr.ndim != 2:
-        raise ShapeError("expected a 2-d array")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ShapeError(f"expected a non-empty 2-d array, got shape {arr.shape}")
+    if arr.shape[0] > arr.shape[1]:
+        raise RankDeficient(f"more rows than columns: {arr.shape[0]}x{arr.shape[1]}")
     if not np.isfinite(arr).all():
         raise NonFiniteEntry("matrix contains NaN or infinity")
     svals = np.linalg.svd(arr, compute_uv=False)

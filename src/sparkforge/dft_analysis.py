@@ -45,18 +45,27 @@ class IndexSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if self.order < 1:
-            raise BadModulus("order must be positive")
-        object.__setattr__(self, "members", tuple(self.members))
-        for m in self.members:
-            if not isinstance(m, int) or not 0 <= m < self.order:
-                raise IndexOutOfRange(f"{m} outside 0..{self.order - 1}")
-        if any(a >= b for a, b in zip(self.members, self.members[1:])):
+        members = self._residues(self.order, self.members)
+        if any(a >= b for a, b in zip(members, members[1:])):
             raise ValueError("members must be strictly increasing")
+        object.__setattr__(self, "members", members)
+
+    @staticmethod
+    def _residues(order: int, members) -> tuple[int, ...]:
+        """members as a tuple, once each is an int in 0..order-1."""
+        if order < 1:
+            raise BadModulus("order must be positive")
+        members = tuple(members)
+        for m in members:
+            if not isinstance(m, int) or not 0 <= m < order:
+                raise IndexOutOfRange(f"{m} outside 0..{order - 1}")
+        return members
 
     @classmethod
     def from_iterable(cls, order: int, members) -> "IndexSet":
-        members = list(members)
+        """The set of members given in any order: each is checked to be a
+        residue before any is checked for a duplicate."""
+        members = cls._residues(order, members)
         if len(set(members)) != len(members):
             raise ValueError("duplicate rows")
         return cls(order, tuple(sorted(members)))

@@ -21,19 +21,20 @@ The numeric probe and Hall girth test one subset at a time.  spark and
 the full-spark check search in blocks mod p: the matrix is mapped to F_p,
 p = 1 (mod N) a prime above 2^30, under the first of the phi(N) ring maps
 Z[w] -> F_p, its rows are mixed once by a fixed seeded matrix R, and a
-block is eliminated with numpy without row exchanges.  One function,
-_images, maps the matrix for the search and for every prime of the proof
-below: a matrix of roots of unity w^t, such as a DFT submatrix, by one
-gather from the images of the N powers of w, any other matrix through its
-power-basis coefficients.  A subset whose k x k image R_k A_S has a
-nonzero last pivot is independent, whatever R is: rank (R_k A_S) <= rank
-A_S.  A dependent subset is deficient under every map, so the one map
-flags it; a random R makes a flag rare for other subsets.  A flagged
-subset is decided by a norm-bound proof: it is eliminated with pivoting
-under every map of p and then of further primes, until their product
-exceeds a Hadamard bound on every conjugate of every minor (k^(k/2) for
-roots of unity), and it is dependent when it stays deficient under all of
-their maps.  No Q(w) arithmetic runs.
+block is eliminated with numpy without row exchanges.  The matrix is one
+column-major array, the exponent table of a matrix of roots of unity w^t
+(a DFT submatrix, say) or else the power-basis coefficients, and one
+function, _images, maps it for the search and for every prime of the
+proof below, by one gather or by one modular product.  A subset whose
+k x k image R_k A_S has a nonzero last pivot is independent, whatever R
+is: rank (R_k A_S) <= rank A_S.  A dependent subset is deficient under
+every map, so the one map flags it; a random R makes a flag rare for
+other subsets.  A flagged subset's columns alone go to a norm-bound
+proof, which derives from them a Hadamard bound on every conjugate of
+every minor (k^(k/2) for roots of unity) and eliminates them with
+pivoting under every map of p and then of further primes, until their
+product exceeds the bound: they are dependent when they stay deficient
+under all of those maps.  No Q(w) arithmetic runs.
 
 When the matrix is rows of the N-th DFT over all N columns, read off the
 exponents of its roots, the rank of a column subset is constant on its
@@ -324,27 +325,24 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _images(
-    order: int,
-    index: int,
-    exponents: np.ndarray | None,
-    coeffs: np.ndarray | None,
-    maps: int | None = None,
+    order: int, index: int, columns: np.ndarray, maps: int | None = None
 ) -> tuple[int, np.ndarray]:
-    """(p, images) for the index-th prime p of _root_images: the columns'
-    images under the first ``maps`` maps of p, every map when None, shape
-    (maps, cols, rows).
+    """(p, images) for the index-th prime p of _root_images: the images of
+    the column-major array ``columns`` under the first ``maps`` maps of p,
+    every map when None, shape (maps, cols, rows).
 
-    A matrix of roots w^t is given by its exponents T, shape (rows, cols),
-    and its images are one gather from roots.  Any other is given by its
-    power-basis coefficients, shape (cols, rows, phi), whose image
-    sum_t c_t g^(e_k t) is one _mulmod by the first phi columns of roots.
+    An integer array is the exponent table, shape (cols, rows), of a
+    matrix of roots w^t, and its images are one gather from roots.  An
+    object array holds power-basis coefficients, shape (cols, rows, phi),
+    whose image sum_t c_t g^(e_k t) is one _mulmod by the first phi
+    columns of roots.
     """
     p, roots = _root_images(order, index)
     roots = roots[:maps]
-    if exponents is not None:
-        return p, roots[:, exponents.T]
-    cols, rows, phi = coeffs.shape
-    residues = (coeffs % p).astype(np.int64).reshape(cols * rows, phi).T
+    if columns.dtype != object:
+        return p, roots[:, columns]
+    cols, rows, phi = columns.shape
+    residues = (columns % p).astype(np.int64).reshape(cols * rows, phi).T
     return p, _mulmod(roots[:, :phi], residues, p).reshape(len(roots), cols, rows)
 
 
@@ -409,16 +407,16 @@ def _block_search(a: ExactMatrix):
     R_k the first k rows of R, along the last axis of a (k, k, subsets)
     array, in blocks of up to _BLOCK_ENTRIES // k^2 subsets.  A nonzero
     last pivot (_last_pivot_vanishes) proves S independent; each flagged S
-    goes in turn to _dependent_by_norm, which eliminates it again with
-    pivoting under every map of p and of further primes.  If one image
-    there has rank k (a false flag, or a nonzero minor that the first map
-    sends to 0) the search goes on.
+    goes in turn to _dependent_by_norm, which is given S's columns alone
+    and eliminates them again with pivoting under every map of p and of
+    further primes.  If one image there has rank k (a false flag, or a
+    nonzero minor that the first map sends to 0) the search goes on.
 
-    The images come from _images, under the first prime here and under
-    every prime of the proof: a gather when every entry is a root of unity
-    w^t (_root_exponents), else a product of the power-basis coefficients
-    (_integral_coeffs).  A root-of-unity candidate is proved from its
-    exponents alone, and no coefficients are built for such a matrix.
+    The matrix is held as one column-major array for _images, under the
+    first prime here and under every prime of the proof: the exponent
+    table of a matrix whose every entry is a root of unity w^t
+    (_root_exponents), else the power-basis coefficients (_integral_coeffs).
+    No coefficients are built for a matrix of roots.
 
     When a is DFT rows over all N columns (_dft_rows), the rank of a
     column subset is constant on its orbit under the affine maps
@@ -430,24 +428,14 @@ def _block_search(a: ExactMatrix):
     Either way the subsets come as arrays of column indices from
     _subset_rows, whose LRU byte cache keeps each level, plain or one per
     orbit, for the next search of the same (n, k).  Blocks are slices of
-    those arrays (_blocks); only a flagged subset becomes a tuple of ints.
+    those arrays (_blocks); only a proved witness becomes a tuple of ints.
     """
     exponents = _root_exponents(a)
-    coeffs = _integral_coeffs(a) if exponents is None else None
-    p, images = _images(a.order, 0, exponents, coeffs, maps=1)
+    columns = _integral_coeffs(a) if exponents is None else exponents.T
+    p, images = _images(a.order, 0, columns, maps=1)
     orbits = _dft_rows(a, exponents)
     n, m = images.shape[1:]
     mixed = _mulmod(_row_mixing(min(m, n), m, p), images[0].T, p)
-
-    def dependent(cols):
-        cols = list(cols)
-        if exponents is not None:
-            # Every conjugate of a root has modulus 1: each column of a
-            # k x k minor has squared norm k.
-            return _dependent_by_norm(a.order, exponents[:, cols], None, len(cols) ** len(cols))
-        sub = coeffs[cols]
-        l1 = np.abs(sub).sum(axis=2)
-        return _dependent_by_norm(a.order, None, sub, math.prod((l1 * l1).sum(axis=1).tolist()))
 
     def search(k):
         cap = max(1, _BLOCK_ENTRIES // max(1, k * k))
@@ -457,9 +445,8 @@ def _block_search(a: ExactMatrix):
                 # [row, column, subset]: R_k A_S for each subset S of the block.
                 stack = mixed[:k].take(block.T, axis=1)
                 for j in np.flatnonzero(_last_pivot_vanishes(stack, p)):
-                    cols = tuple(block[j].tolist())
-                    if dependent(cols):
-                        return cols
+                    if _dependent_by_norm(a.order, columns[block[j]]):
+                        return tuple(block[j].tolist())
             return None
         finally:
             rows.close()
@@ -640,29 +627,33 @@ def _subset_rows(n: int, k: int, orbits: bool):
                 del _subset_cache[next(iter(_subset_cache))]
 
 
-def _dependent_by_norm(
-    order: int, exponents: np.ndarray | None, coeffs: np.ndarray | None, h2: int
-) -> bool:
+def _dependent_by_norm(order: int, columns: np.ndarray) -> bool:
     """Decide k columns of Z[w] entries, flagged by the block search.
 
-    The columns are given as to _images: exponents of shape (rows, k), or
-    coefficients of shape (k, rows, phi).  ``h2`` bounds |sigma(alpha)|^2
-    for every k x k minor alpha and every embedding sigma (Hadamard's
-    inequality): k^k for roots of unity, else the product over the columns
-    of sum_i L1(a_ij)^2.  A prime = 1 (mod order) splits completely in
-    Z[w], so a minor that vanishes under all phi maps of each prime taken
-    is divisible by their product P, and |Norm alpha| >= P^phi unless
-    alpha = 0.  Primes are therefore taken from the first, the block
-    search's own, until P^2 > h2, and the images under each are eliminated
-    with pivoting (_vanishing_mod_p): the columns are dependent if they
-    stay deficient under every map of every prime, and independent as
-    soon as one image has rank k (Cabay and Lam, 1977).  The block search
-    flags under the first map of the first prime only, so the proof starts
-    at that prime and checks all of its maps.
+    The columns are given alone, as to _images: an exponent table of shape
+    (k, rows), or coefficients of shape (k, rows, phi).  The bound h2 on
+    |sigma(alpha)|^2, for every k x k minor alpha and every embedding
+    sigma, is Hadamard's inequality taken here on those columns: k^k for
+    roots of unity, whose conjugates all have modulus 1, else the product
+    over the columns of sum_i L1(a_ij)^2.  A prime = 1 (mod order) splits
+    completely in Z[w], so a minor that vanishes under all phi maps of
+    each prime taken is divisible by their product P, and
+    |Norm alpha| >= P^phi unless alpha = 0.  Primes are therefore taken
+    from the first, the block search's own, until P^2 > h2, and the images
+    under each are eliminated with pivoting (_vanishing_mod_p): the
+    columns are dependent if they stay deficient under every map of every
+    prime, and independent as soon as one image has rank k (Cabay and Lam,
+    1977).  The block search flags under the first map of the first prime
+    only, so the proof starts at that prime and checks all of its maps.
     """
+    if columns.dtype != object:
+        h2 = len(columns) ** len(columns)
+    else:
+        l1 = np.abs(columns).sum(axis=2)
+        h2 = math.prod((l1 * l1).sum(axis=1).tolist())
     modulus, index = 1, 0
     while modulus * modulus <= h2:
-        q, images = _images(order, index, exponents, coeffs)
+        q, images = _images(order, index, columns)
         if not _vanishing_mod_p(images.swapaxes(1, 2), q).all():
             return False
         modulus *= q

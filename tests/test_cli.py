@@ -419,6 +419,16 @@ def test_dft_rows_with_repeats_or_non_integers_exit_two(capsys, tmp_path):
     assert _one_line_error(code, doc, err) and "row must be an integer" in err
 
 
+@pytest.mark.parametrize("cols", ["", " "])
+def test_empty_cols_list_names_no_column(capsys, cols):
+    code, doc, err = _run(capsys, ["spark", "--dft", "7", "--rows", "0,1", "--cols", cols])
+    assert (code, err) == (0, "")
+    assert (doc["rows"], doc["cols"], doc["spark"], doc["witness"]) == (2, 0, 1, None)
+    assert doc["checked_subsets"] == 0 and doc["sentinel"]
+    code, doc, err = _run(capsys, ["full-spark", "--dft", "7", "--rows", "0,1", "--cols", cols])
+    assert _one_line_error(code, doc, err) and "ShapeError" in err and "2x0" in err
+
+
 def test_matrix_files_reject_non_integer_entries(capsys, tmp_path):
     bad = [
         {"kind": "integer", "rows": 1, "cols": 2, "entries": [1.7, True]},

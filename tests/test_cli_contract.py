@@ -6,18 +6,23 @@ be read as that field, or one entry is.  Each must give exit 2, nothing on
 stdout and one ``error:`` line on stderr; an exception escaping cli.run
 would be a traceback.  So must an exact matrix with an entry beyond float
 range wherever a command needs it as floats, while the exact commands
-still read it.
+still read it, a matrix that is not a frame given to ``construct
+--parseval``, and a document holding a float that is NaN or infinite:
+every document printed is strict JSON.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
 
 from sparkforge import cli
+
+from test_cli_golden import GOLDEN
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -188,3 +193,60 @@ def test_exact_entries_beyond_float_range(doc):
 @pytest.mark.parametrize("extra", [[], ["--exact"]])
 def test_vandermonde_base_beyond_float_range(extra):
     _assert_usage_error("", ["construct", "--vandermonde", f"--bases=1,2,{BIG}", "--m", "2"] + extra)
+
+
+def _complex_file(rows, cols):
+    entries = [[1, 0] if i % (cols + 1) == 0 else [0.5, -1] for i in range(rows * cols)]
+    return {"schema_version": 1, "kind": "complex_float", "rows": rows, "cols": cols,
+            "entries": entries}
+
+
+# Not frames: no rows or no columns, or more rows than columns, whose frame
+# operator is singular and has no inverse square root.
+NOT_FRAMES = [
+    (_complex_file(0, 0), "ShapeError"),
+    (_complex_file(0, 3), "ShapeError"),
+    (_complex_file(2, 0), "ShapeError"),
+    (_complex_file(2, 1), "RankDeficient"),
+    ({"schema_version": 1, "kind": "integer", "rows": 3, "cols": 2,
+      "entries": [1, 0, 0, 1, 1, 1]}, "RankDeficient"),
+]
+
+
+@pytest.mark.parametrize("doc, error", NOT_FRAMES, ids=["0x0", "0x3", "2x0", "2x1", "int3x2"])
+def test_parseval_refuses_what_is_not_a_frame(doc, error):
+    argv = ["construct", "--parseval", "--matrix", "{path}"]
+    _assert_usage_error(json.dumps(doc), argv)
+    assert _run_on(json.dumps(doc), argv)[2].startswith(f"error: {error}: ")
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _strict(text: str):
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def test_documents_are_strict_json():
+    goldens = sorted(GOLDEN.glob("*.stdout"))
+    assert goldens
+    for path in goldens:
+        _strict(path.read_text(encoding="utf-8"))
+    runs = [(json.dumps(doc), [command, "--matrix", "{path}"])
+            for doc in BIG_MATRICES for command in ("spark", "full-spark")]
+    runs.append((json.dumps(_complex_file(2, 3)), ["construct", "--parseval", "--matrix", "{path}"]))
+    runs.append((json.dumps(_complex_file(2, 3)), ["coherence", "--matrix", "{path}"]))
+    for text, argv in runs:
+        code, out, err = _run_on(text, argv)
+        assert code == 0 and err == "", (argv, err)
+        _strict(out)
+    with pytest.raises(ValueError):
+        _strict('{"mu": NaN}')
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_float_in_a_document_exits_two(value, monkeypatch):
+    options = cli.COMMANDS["orbit"][2]
+    monkeypatch.setitem(cli.COMMANDS, "orbit", ("", lambda args: ({"x": [value]}, 0), options))
+    _assert_usage_error("", ["orbit", "--n", "5", "--rows", "0,1"])

@@ -59,14 +59,14 @@ def image_cases(draw, order):
 @pytest.mark.parametrize("order", [1, 5, 12, 25])
 @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @hypothesis.given(data=st.data())
-def test_column_images_match_python_sums(order, data):
+def test_images_match_python_sums(order, data):
     coeffs, index, p, w = data.draw(image_cases(order))
-    q, images = _images(order, index, None, coeffs)
+    q, images = _images(order, index, coeffs)
     assert q == p and images.dtype == np.int64
     assert images.shape == (w.shape[0],) + coeffs.shape[:2]
     assert images.tolist() == _images_by_hand(coeffs, p, w)
     # The block search maps under the first map alone.
-    assert _images(order, index, None, coeffs, maps=1)[1].tolist() == images[:1].tolist()
+    assert _images(order, index, coeffs, maps=1)[1].tolist() == images[:1].tolist()
 
 
 def test_mulmod_is_exact_at_the_limb_bound():

@@ -21,6 +21,7 @@ from sparkforge import (
     vandermonde,
     welch_bound_sq,
 )
+from sparkforge.dft_analysis import IndexSet
 from sparkforge.exact_arith import root_power
 from sparkforge.errors import (
     BadModulus,
@@ -90,6 +91,25 @@ def test_harmonic_normalized_columns():
 def test_harmonic_index_validation():
     with pytest.raises(IndexOutOfRange):
         harmonic(4, (0, 4))
+
+
+@pytest.mark.parametrize("rows, error", [
+    # Out of range, before any duplicate is looked for.
+    ([7], IndexOutOfRange), ([-1], IndexOutOfRange), ([0, 7], IndexOutOfRange),
+    ([7, 7], IndexOutOfRange), ([0, 2, 2, 9], IndexOutOfRange),
+    # Not integers, including values that neither sort nor hash with ints.
+    ([1.5], IndexOutOfRange), ([1.0], IndexOutOfRange), ([0, "1"], IndexOutOfRange),
+    ([0, None], IndexOutOfRange), ([0, [0]], IndexOutOfRange), ([np.int64(1)], IndexOutOfRange),
+    # Duplicates.
+    ([1, 1], ValueError), ([0, 1, 1], ValueError), ([True, 1], ValueError),
+    # Another order's index set, and no rows.
+    (IndexSet(5, (0, 1)), ShapeError), ([], ShapeError),
+])
+def test_harmonic_rows_are_refused_by_the_index_set_rules(rows, error):
+    for build in (lambda: harmonic(7, rows), lambda: harmonic_identity(7, rows, 1)):
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error
 
 
 def test_shadow_consistency_across_builders():

@@ -71,8 +71,8 @@ def _flags_and_deficiency(a, k):
     """Per size-k subset, the block search's one-map flag and whether its
     images are deficient under each map of the first prime."""
     exponents = _root_exponents(a)
-    coeffs = _integral_coeffs(a) if exponents is None else None
-    p, images = _images(a.order, 0, exponents, coeffs)
+    columns = _integral_coeffs(a) if exponents is None else exponents.T
+    p, images = _images(a.order, 0, columns)
     maps, n, m = images.shape
     mixed = _mulmod(_row_mixing(min(m, n), m, p), images[0].T, p)
     subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)

@@ -9,7 +9,8 @@ goes through its power-basis coefficients, and _images on those
 coefficients is the oracle here: the gathered images must equal it value
 for value, and the certificates must equal the ones the coefficient path
 gives when the root path is switched off.  A root-of-unity candidate is
-proved from its exponents alone, under the Hadamard bound k^k.
+proved from its exponents alone, under the Hadamard bound k^k, which the
+proof derives from the candidate's columns.
 """
 
 import math
@@ -83,9 +84,9 @@ def test_gathered_images_equal_the_coefficient_images(order, data, index):
     exponents = _root_exponents(a)
     cols = range(order) if cols is None else cols
     assert exponents.tolist() == [[r * c % order for c in cols] for r in rows]
-    p, gathered = _images(order, index, exponents, None)
+    p, gathered = _images(order, index, exponents.T)
     assert gathered.tolist() == _root_images(order, index)[1][:, exponents.T].tolist()
-    q, images = _images(order, index, None, _integral_coeffs(a))
+    q, images = _images(order, index, _integral_coeffs(a))
     assert (p, gathered.dtype) == (q, np.int64)
     assert gathered.tolist() == images.tolist()
     if index == 0:
@@ -141,9 +142,9 @@ def test_near_roots_take_the_coefficient_path(kind, order, rows, monkeypatch):
     assert _root_exponents(a) is None and spark_engine._dft_rows(a, None) is False
     mapped = []
 
-    def images(order, index, exponents, coeffs, maps=None):
-        mapped.append(None if coeffs is None else coeffs.shape)
-        return _images(order, index, exponents, coeffs, maps)
+    def images(order, index, columns, maps=None):
+        mapped.append(columns.shape if columns.dtype == object else None)
+        return _images(order, index, columns, maps)
 
     monkeypatch.setattr(spark_engine, "_images", images)
     assert _certificates(a) == _coefficient_path(a)
@@ -170,37 +171,65 @@ def test_root_matrices_build_no_coefficients_of_the_whole_matrix(order, rows, mo
 
 
 def _record_proofs(monkeypatch):
-    """Record, per call of the norm-bound proof, what it is given and its bound."""
+    """Record, per call of the norm-bound proof, what it is given, the
+    primes whose images it eliminates, and its answer."""
     calls = []
-    prove = spark_engine._dependent_by_norm
+    prove, eliminate = spark_engine._dependent_by_norm, spark_engine._vanishing_mod_p
 
-    def dependent_by_norm(order, exponents, coeffs, h2):
-        given = ("exponents", exponents.shape) if coeffs is None else ("coeffs", coeffs.shape)
-        assert (exponents is None) != (coeffs is None)
-        calls.append((given, h2))
-        return prove(order, exponents, coeffs, h2)
+    def dependent_by_norm(order, columns):
+        given = ("coeffs" if columns.dtype == object else "exponents", columns.shape)
+        primes = []
+
+        def recording(stack, q):
+            primes.append(q)
+            return eliminate(stack, q)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spark_engine, "_vanishing_mod_p", recording)
+            dependent = prove(order, columns)
+        calls.append((given, len(primes), dependent))
+        return dependent
 
     monkeypatch.setattr(spark_engine, "_dependent_by_norm", dependent_by_norm)
     return calls
+
+
+def _primes_for(order, h2):
+    """How many primes the proof of a dependent subset takes under the
+    bound h2: the first n whose product P has P^2 > h2."""
+    n, modulus = 0, 1
+    while modulus * modulus <= h2:
+        modulus *= _root_images(order, n)[0]
+        n += 1
+    return n
 
 
 def test_hadamard_bound_takes_the_candidate_columns_only(monkeypatch):
     rows, witness = (0, 1, 2, 3, 4, 5, 10), (0, 1, 5, 6, 10, 11, 15)
     l1 = np.abs(_integral_coeffs(dft_submatrix(25, rows))).sum(axis=2)
     column_sums = (l1 * l1).sum(axis=1).tolist()
-    bounds = _record_proofs(monkeypatch)
+    # A bound over all 25 columns would take more primes than the
+    # candidate's own, so the primes taken tell the two apart.
+    bound = _primes_for(25, math.prod(column_sums[j] for j in witness))
+    assert _primes_for(25, math.prod(column_sums)) > bound
+    proofs = _record_proofs(monkeypatch)
     # Not roots: the first row is halved, and scaled back by 2 in Z[w], so
     # the L1 bound is the DFT rows' own, over the candidate's 7 columns.
     cert = is_full_spark(_near_roots(25, rows, "row over 2"))
     assert cert.witness == witness
-    assert {given for given, _ in bounds} == {("coeffs", (7, 7, euler_phi(25)))}
-    assert bounds[-1][1] == math.prod(column_sums[j] for j in witness)
+    assert {given for given, _, _ in proofs} == {("coeffs", (7, 7, euler_phi(25)))}
+    assert proofs[-1][1:] == (bound, True)
+    assert all(taken <= bound for _, taken, _ in proofs)
     # Roots: only the exponents of the flagged subsets' 7 columns are read,
     # never all 25, and every conjugate of a root has modulus 1.
-    bounds.clear()
+    proofs.clear()
     monkeypatch.setattr(spark_engine, "_integral_coeffs", _refuse)
     assert is_full_spark(dft_submatrix(25, rows)) == cert
-    assert set(bounds) == {(("exponents", (7, 7)), 7**7)}
+    bound = _primes_for(25, 7**7)
+    assert _primes_for(25, 25**25) > bound
+    assert {given for given, _, _ in proofs} == {("exponents", (7, 7))}
+    assert proofs[-1][1:] == (bound, True)
+    assert all(taken <= bound for _, taken, _ in proofs)
 
 
 @pytest.mark.parametrize("order, rows, cols", [(10, (0, 1, 3, 4), None), (12, (0, 4, 8), None),
@@ -211,9 +240,9 @@ def test_refuted_root_sweeps_build_no_power_basis_coefficients(order, rows, cols
     assert all(cert["witness"] for cert in expected)
     proofs = _record_proofs(monkeypatch)
 
-    def images(order, index, exponents, coeffs, maps=None):
-        assert coeffs is None, "power-basis coefficients reached _images"
-        return _images(order, index, exponents, coeffs, maps)
+    def images(order, index, columns, maps=None):
+        assert columns.dtype != object, "power-basis coefficients reached _images"
+        return _images(order, index, columns, maps)
 
     def root_table(order):
         # The exponent lookup keeps its map; the scalars, whose coefficients
@@ -224,4 +253,4 @@ def test_refuted_root_sweeps_build_no_power_basis_coefficients(order, rows, cols
     monkeypatch.setattr(spark_engine, "_images", images)
     monkeypatch.setattr(spark_engine, "_root_table", root_table)
     assert _certificates(a) == expected
-    assert proofs and all(given[0] == "exponents" for given, _ in proofs)
+    assert proofs and all(given[0] == "exponents" for given, _, _ in proofs)

@@ -216,9 +216,9 @@ def _count_proofs(monkeypatch):
     calls = []
     prove = spark_engine._dependent_by_norm
 
-    def counting(order, exponents, coeffs, h2):
-        calls.append(coeffs[:, :, 0].T.tolist() if exponents is None else exponents.tolist())
-        return prove(order, exponents, coeffs, h2)
+    def counting(order, columns):
+        calls.append((columns[:, :, 0] if columns.dtype == object else columns).T.tolist())
+        return prove(order, columns)
 
     monkeypatch.setattr(spark_engine, "_dependent_by_norm", counting)
     return calls
