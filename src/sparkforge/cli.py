@@ -86,7 +86,7 @@ def matrix_to_json(obj) -> dict:
             "order": obj.order,
             "entries": entries,
         }
-    arr = np.asarray(getattr(obj, "matrix", obj), dtype=complex)
+    arr = constructions._complex_matrix(obj)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "complex_float",
@@ -204,13 +204,6 @@ def _load_matrix(args):
     return matrix_from_json(_read_json(args.matrix))
 
 
-def _complex(matrix):
-    """A loaded matrix as a complex array."""
-    if isinstance(matrix, ExactMatrix):
-        return np.array(matrix.to_complex_rows(), dtype=complex)
-    return matrix
-
-
 def _construct_rows(args) -> list[int]:
     # Only the harmonic kinds take rows, and both need --n.
     if args.rows_qr:
@@ -236,7 +229,7 @@ FRAMES = {
         lambda a: constructions.optimal_vandermonde(_order(a.n), a.m, normalize=a.normalize),
     ),
     "parseval": (
-        ("matrix",), lambda a: constructions.parseval_projection(_complex(_load_matrix(a)))
+        ("matrix",), lambda a: constructions.parseval_projection(_load_matrix(a))
     ),
 }
 
@@ -311,7 +304,7 @@ def _cmd_rip_check(args):
 
 
 def _cmd_coherence(args):
-    matrix = _complex(_load_matrix(args))
+    matrix = constructions._complex_matrix(_load_matrix(args))
     result = constructions.coherence(matrix)
     m, n = matrix.shape
     return {"rows": int(m), "cols": int(n), "mu": result.mu, "pair": list(result.pair),

@@ -44,6 +44,34 @@ __all__ = [
 ]
 
 
+def _complex_matrix(f, min_shape=(0, 0)) -> np.ndarray:
+    """A Frame, array or ExactMatrix as a finite 2-d complex array of at
+    least min_shape: the one reader of float matrices in the package."""
+    if isinstance(f, ExactMatrix):
+        arr = np.array(f.to_complex_rows(), dtype=complex).reshape(f.rows, f.cols)
+    else:
+        arr = np.asarray(getattr(f, "matrix", f), dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] < min_shape[0] or arr.shape[1] < min_shape[1]:
+        raise ShapeError(f"expected a 2-d array of shape at least {min_shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntry("matrix contains NaN or infinity")
+    return arr
+
+
+def _unit_scaled(arr: np.ndarray, axis=None) -> np.ndarray:
+    """arr times the power of two that brings the largest real or imaginary
+    part of each slice along axis (of all of arr for None) into [1/2, 1).
+
+    Exact while entries stay normal floats, so ratios are unchanged, and no
+    square overflows.  A modulus would overflow for parts above 1.3e308.
+    """
+    parts = np.maximum(np.abs(arr.real), np.abs(arr.imag))
+    _, e = np.frexp(np.max(parts, axis=axis, keepdims=True, initial=0.0))
+    out = np.empty_like(arr)
+    out.real, out.imag = np.ldexp(arr.real, -e), np.ldexp(arr.imag, -e)
+    return out
+
+
 @dataclass
 class Provenance:
     kind: str
@@ -64,9 +92,7 @@ class Frame:
     shadow_col_scale: np.ndarray | None = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2:
-            raise ShapeError("frame matrix must be 2-d")
+        self.matrix = _complex_matrix(self.matrix)
 
     @property
     def rows(self) -> int:
@@ -80,8 +106,7 @@ class Frame:
         """Floating evaluation of the shadow under the recorded scalings."""
         if self.exact_shadow is None:
             raise ValueError("frame has no exact shadow")
-        base = np.array(self.exact_shadow.to_complex_rows(), dtype=complex)
-        base = base.reshape(self.exact_shadow.rows, self.exact_shadow.cols)
+        base = _complex_matrix(self.exact_shadow)
         return self.shadow_row_scale[:, None] * base * self.shadow_col_scale[None, :]
 
 
@@ -125,13 +150,9 @@ def vandermonde(bases, m: int) -> Frame:
         )
 
     if shadow is not None:
-        numeric = np.array(shadow.to_complex_rows(), dtype=complex)
+        numeric = shadow
     else:
-        numeric = np.array(
-            [[complex(b) ** i for b in bases] for i in range(m)], dtype=complex
-        )
-    if not np.isfinite(numeric).all():
-        raise NonFiniteEntry("bases evaluate to non-finite entries")
+        numeric = [[complex(b) ** i for b in bases] for i in range(m)]
 
     distinct = len(set(bases)) == n
     frame = Frame(
@@ -240,26 +261,20 @@ def parseval_projection(f) -> Frame:
     """Closest Parseval frame (FF*)^(-1/2) F of a numerically full-rank frame.
 
     A frame has rows and columns, and no more rows than columns: FF* is
-    invertible only then.  Spark is preserved: the row map applied is
-    invertible.  The result has no exact shadow because the inverse square
-    root is irrational.
+    invertible only then.  With the thin SVD F = U S V*, (FF*)^(-1/2) F is
+    the polar factor U V*, which scaling F leaves as it is.  Spark is
+    preserved: the row map applied is invertible.  The result has no exact
+    shadow because the inverse square root is irrational.
     """
-    arr = np.asarray(getattr(f, "matrix", f), dtype=complex)
-    if arr.ndim != 2 or 0 in arr.shape:
-        raise ShapeError(f"expected a non-empty 2-d array, got shape {arr.shape}")
+    arr = _complex_matrix(f, min_shape=(1, 1))
     if arr.shape[0] > arr.shape[1]:
         raise RankDeficient(f"more rows than columns: {arr.shape[0]}x{arr.shape[1]}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntry("matrix contains NaN or infinity")
-    svals = np.linalg.svd(arr, compute_uv=False)
+    u, svals, vh = np.linalg.svd(_unit_scaled(arr), full_matrices=False)
     if svals[0] == 0.0 or svals[-1] <= 1e-10 * svals[0]:
         raise RankDeficient("matrix is numerically rank deficient")
-    gram = arr @ arr.conj().T
-    w, v = np.linalg.eigh(gram)
-    inv_sqrt = (v * (w ** -0.5)) @ v.conj().T
     source = f.provenance.kind if isinstance(f, Frame) else "array"
     return Frame(
-        inv_sqrt @ arr,
+        u @ vh,
         Provenance(
             kind="parseval_projection",
             params={"source": source},
@@ -279,13 +294,10 @@ class CoherenceResult:
 def coherence(f) -> CoherenceResult:
     """Largest absolute inner product between distinct normalized columns.
 
-    Ties resolve to the lexicographically smallest column pair.
+    Ties resolve to the lexicographically smallest column pair.  Columns
+    are scaled by powers of two first, so their norms cannot overflow.
     """
-    arr = np.asarray(getattr(f, "matrix", f), dtype=complex)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise ShapeError("coherence needs at least two columns")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntry("matrix contains NaN or infinity")
+    arr = _unit_scaled(_complex_matrix(f, min_shape=(0, 2)), axis=0)
     norms = np.linalg.norm(arr, axis=0)
     zero_cols = np.nonzero(norms == 0.0)[0]
     if zero_cols.size:
@@ -300,6 +312,8 @@ def coherence(f) -> CoherenceResult:
 
 def welch_bound_sq(m: int, n: int) -> float:
     """Lower bound on squared coherence of any M x N unit-norm frame."""
+    if m < 1:
+        raise ShapeError("need at least one row")
     if n < 2:
         raise ShapeError("need at least two columns")
     return (n - m) / (m * (n - 1))
@@ -313,6 +327,8 @@ def g_eval(x: float, m: int) -> float:
     """
     if m < 1:
         raise ValueError("m must be positive")
+    if not -math.inf < x < math.inf:
+        raise ValueError(f"x must be finite, got {x}")
     if x == round(x):
         return float(m * m)
     # Reduce mod 1 before scaling by pi; x - round(x) is exact, so the sines

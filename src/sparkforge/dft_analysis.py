@@ -19,7 +19,7 @@ from .errors import (
     NotADivisor,
     NotPrimePower,
 )
-from .exact_arith import divisors, is_prime_power
+from .exact_arith import _units, divisors, is_prime_power
 
 __all__ = [
     "IndexSet",
@@ -195,7 +195,7 @@ def closure_orbit(
         raise DegenerateSet("orbit needs a proper nonempty set")
     seed = m.members if 2 * len(m) <= n else m.complement().members
     period = next(d for d in divisors(n) if {(x + d) % n for x in seed} == set(seed))
-    dilates = {tuple(sorted(u * x % n for x in seed)) for u in range(1, n) if math.gcd(u, n) == 1}
+    dilates = {tuple(sorted(u * x % n for x in seed)) for u in _units(n)}
     # A complement is a new member for every image when the sizes differ.
     share = 2 if 2 * len(seed) < n else 1
 

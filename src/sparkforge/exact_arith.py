@@ -57,6 +57,11 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _units(n: int) -> list[int]:
+    """The units of Z_n as 1 <= u <= n, ascending (1 alone for n = 1)."""
+    return [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
     if n < 1:
@@ -109,10 +114,9 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 class _Ring:
-    __slots__ = ("order", "phi", "rows")
+    __slots__ = ("phi", "rows")
 
-    def __init__(self, order, phi, rows):
-        self.order = order
+    def __init__(self, phi, rows):
         self.phi = phi
         self.rows = rows
 
@@ -133,7 +137,7 @@ def _ring(order: int) -> _Ring:
         cur = [0] + cur[: phi - 1]
         if carry:
             cur = [x + carry * y for x, y in zip(cur, top)]
-    return _Ring(order, phi, tuple(rows))
+    return _Ring(phi, tuple(rows))
 
 
 def _mul_coeffs(ring: _Ring, a, b):

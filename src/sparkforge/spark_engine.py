@@ -56,13 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    NonFiniteEntry,
-    ShapeError,
-)
-from .exact_arith import _root_table, divisors, euler_phi
+from .constructions import _complex_matrix, _unit_scaled
+from .errors import BudgetExceeded, CapExceeded, ShapeError
+from .exact_arith import _root_table, _units, divisors, euler_phi
 from .exact_linalg import ExactMatrix, _integral_rows
 from .exact_linalg import det_exact, rank_exact  # noqa: F401 (bench/run.py --trace 1 wraps them)
 
@@ -278,8 +274,7 @@ def _root_images(order: int, index: int) -> tuple[int, np.ndarray]:
     powers = [1]
     for _ in range(order - 1):
         powers.append(powers[-1] * g % p)
-    units = [e for e in range(1, order + 1) if math.gcd(e, order) == 1]
-    roots = np.array(powers, dtype=np.int64)[np.outer(units, np.arange(order)) % order]
+    roots = np.array(powers, dtype=np.int64)[np.outer(_units(order), np.arange(order)) % order]
     roots.flags.writeable = False  # shared by every caller through the cache
     return p, roots
 
@@ -519,7 +514,7 @@ def _affine_masks(n: int) -> np.ndarray:
     on the top bit, and of two subsets of one size the lex-smaller has the
     larger mask: the first element where they differ is in it.
     """
-    units = np.array([u for u in range(1, n + 1) if math.gcd(u, n) == 1], dtype=np.uint64)
+    units = np.array(_units(n), dtype=np.uint64)
     c = np.arange(n, dtype=np.uint64)
     image = (units[:, None, None] * c + c[:, None]) % n  # [u, t, c]
     masks = np.left_shift(np.uint64(1), n - 1 - image).reshape(-1, n).T.copy()
@@ -690,21 +685,17 @@ def numeric_spark_probe(
     """Floating-point spark estimate via singular value rank decisions.
 
     A column subset counts as dependent when its smallest singular value is
-    at most tol * largest * max(shape), for a finite tol >= 0.  Same sweep
-    order and sentinel conventions as the exact engine; the certificate is
-    advisory, not a proof.
+    at most tol * largest * max(shape), for a finite tol >= 0, once scaled
+    by a power of two into range.  Same sweep order and sentinel conventions
+    as the exact engine; the certificate is advisory, not a proof.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    arr = np.asarray(getattr(f, "matrix", f), dtype=complex)
-    if arr.ndim != 2:
-        raise ShapeError("expected a 2-d array")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntry("matrix contains NaN or infinity")
+    arr = _complex_matrix(f)
     m, n = arr.shape
 
     def dependent(cols):
-        sub = arr[:, cols]
+        sub = _unit_scaled(arr[:, cols])
         s = np.linalg.svd(sub, compute_uv=False)
         smax = float(s[0])
         return smax == 0.0 or float(s[-1]) <= tol * smax * max(sub.shape)

@@ -23,6 +23,7 @@ import pytest
 from sparkforge import cli
 
 from test_cli_golden import GOLDEN
+from test_float_range import BIG_FILE, FRAME_1E200_FILE
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -237,6 +238,8 @@ def test_documents_are_strict_json():
             for doc in BIG_MATRICES for command in ("spark", "full-spark")]
     runs.append((json.dumps(_complex_file(2, 3)), ["construct", "--parseval", "--matrix", "{path}"]))
     runs.append((json.dumps(_complex_file(2, 3)), ["coherence", "--matrix", "{path}"]))
+    runs += [(json.dumps(BIG_FILE), [command, "--matrix", "{path}"]) for command in ("coherence", "spark")]
+    runs.append((json.dumps(FRAME_1E200_FILE), ["construct", "--parseval", "--matrix", "{path}"]))
     for text, argv in runs:
         code, out, err = _run_on(text, argv)
         assert code == 0 and err == "", (argv, err)

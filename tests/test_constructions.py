@@ -281,6 +281,22 @@ def test_g_eval_closed_form_against_direct_sum():
     assert worst <= 1e-10
 
 
+def test_welch_bound_refuses_a_frame_without_rows():
+    with pytest.raises(ShapeError):
+        welch_bound_sq(0, 3)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_g_eval_refuses_an_infinite_x(x):
+    with pytest.raises(ValueError, match="^x must be finite"):
+        g_eval(x, 3)
+
+
+def test_g_eval_refuses_a_nan_x():
+    with pytest.raises(ValueError, match="^x must be finite"):
+        g_eval(math.nan, 3)
+
+
 def test_optimal_vandermonde_equals_dft_prefix():
     f = optimal_vandermonde(6, 3)
     h = harmonic(6, range(3))

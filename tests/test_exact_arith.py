@@ -11,6 +11,7 @@ from sparkforge.exact_arith import (
     CycInt,
     ExactScalar,
     _invert_coeffs,
+    _units,
     divisors,
     euler_phi,
     is_prime,
@@ -253,3 +254,12 @@ def test_number_theory_helpers():
     assert is_prime_power(8) and is_prime_power(9) and is_prime_power(13)
     assert not is_prime_power(1) and not is_prime_power(10) and not is_prime_power(12)
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+def test_units_are_ascending_and_number_phi():
+    # Map 0 of each prime and the identity-first affine masks rely on the order.
+    assert _units(1) == [1] and _units(2) == [1] and _units(12) == [1, 5, 7, 11]
+    for n in range(1, 80):
+        units = _units(n)
+        assert units == sorted(set(units)) and len(units) == euler_phi(n)
+        assert all(1 <= u <= n and math.gcd(u, n) == 1 for u in units)

@@ -1,6 +1,6 @@
 """The package namespace is exactly the union of its modules' exports,
-every cache in it is bounded, every name a module imports is used, and
-every private helper is called."""
+every cache in it is bounded, every name a module imports is used, every
+private helper is called, and float matrices are read in one function."""
 
 import ast
 from pathlib import Path
@@ -93,3 +93,17 @@ def test_every_private_function_and_class_is_referenced():
             referenced |= names
     assert len(defined) > 50
     assert [where for name, where in defined if name not in referenced] == []
+
+
+def test_float_matrices_are_read_in_one_function():
+    """to_complex_rows and np.isfinite are called only inside
+    constructions._complex_matrix, so no second reader of float matrices
+    checks shapes and finiteness its own way."""
+    callers = set()
+    for path in sorted(Path(sparkforge.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and call.func.attr in ("to_complex_rows", "isfinite")):
+                    callers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert callers == {"constructions._complex_matrix"}
