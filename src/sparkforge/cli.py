@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -35,9 +36,9 @@ SCHEMA_VERSION = 1
 BUDGET_ENV = "SPARKFORGE_BUDGET"
 
 # Largest cyclotomic order taken from a matrix file or an option.  Exact
-# arithmetic in Z[w] keeps a reduction table of about order * phi(order)
-# integers, which stays within tens of MiB up to here and grows as the
-# square of the order past it.
+# arithmetic in Z[w] keeps one table per order, the order * phi(order)
+# power-basis coefficients of w^0 .. w^(order-1), shared with the root
+# table: about 32 MiB at the prime 2039, growing as the square of the order.
 MAX_ORDER = 2048
 
 # Most row entries `orbit` prints: 10^6, as for the adjacency entries of
@@ -176,13 +177,22 @@ def _read_json(path: str):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise UsageError(f"expected integers, got {text!r}") from exc
+    # int() would also take "0_3", padding and non-ASCII digits.
+    tokens = text.replace(",", " ").split()
+    if not all(re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens):
+        raise UsageError(f"expected integers, got {text!r}")
+    return [int(tok) for tok in tokens]
 
 
 def _rows_from_args(args) -> list[int]:
+    qr = getattr(args, "rows_qr", False)  # construct alone has --rows-qr
+    given = [flag for flag, on in (("--rows", args.rows is not None),
+                                   ("--rows-file", args.rows_file is not None),
+                                   ("--rows-qr", qr)) if on]
+    if len(given) > 1:  # every source but one would be ignored
+        raise UsageError("give one row source, not " + " and ".join(given))
+    if qr:
+        return list(constructions.quadratic_residue_rows(args.n))
     if args.rows_file:
         if args.rows_file.endswith(".json"):
             data = _read_json(args.rows_file)
@@ -204,13 +214,6 @@ def _load_matrix(args):
     return matrix_from_json(_read_json(args.matrix))
 
 
-def _construct_rows(args) -> list[int]:
-    # Only the harmonic kinds take rows, and both need --n.
-    if args.rows_qr:
-        return list(constructions.quadratic_residue_rows(args.n))
-    return _rows_from_args(args)
-
-
 # construct kind -> (options it needs, builder); each kind is also a flag.
 FRAMES = {
     "vandermonde": (
@@ -218,11 +221,11 @@ FRAMES = {
     ),
     "harmonic": (
         ("n",),
-        lambda a: constructions.harmonic(_order(a.n), _construct_rows(a), normalize=a.normalize),
+        lambda a: constructions.harmonic(_order(a.n), _rows_from_args(a), normalize=a.normalize),
     ),
     "harmonic-identity": (
         ("n", "k"),
-        lambda a: constructions.harmonic_identity(_order(a.n), _construct_rows(a), a.k),
+        lambda a: constructions.harmonic_identity(_order(a.n), _rows_from_args(a), a.k),
     ),
     "optimal": (
         ("n", "m"),
@@ -250,12 +253,16 @@ def _cmd_construct(args):
 
 
 def _matrix_for_spark(args):
+    if (args.matrix is None) == (args.dft is None):
+        raise UsageError("give exactly one of --matrix (path or - for stdin) and --dft")
     if args.dft is not None:
         rows = _index_set(args.dft, args)
         cols = None if args.cols is None else _parse_int_list(args.cols)
         return dft_submatrix(rows.order, rows, cols)
-    if args.matrix is None:
-        raise UsageError("need --matrix (path or - for stdin) or --dft")
+    for flag, value in (("--rows", args.rows), ("--rows-file", args.rows_file),
+                        ("--cols", args.cols)):
+        if value is not None:
+            raise UsageError(f"{flag} needs --dft; it cannot restrict a --matrix file")
     return _load_matrix(args)
 
 

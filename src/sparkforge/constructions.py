@@ -152,7 +152,10 @@ def vandermonde(bases, m: int) -> Frame:
     if shadow is not None:
         numeric = shadow
     else:
-        numeric = [[complex(b) ** i for b in bases] for i in range(m)]
+        try:
+            numeric = [[complex(b) ** i for b in bases] for i in range(m)]
+        except OverflowError as exc:
+            raise NonFiniteEntry(f"a power of a base overflows: {exc}") from exc
 
     distinct = len(set(bases)) == n
     frame = Frame(

@@ -4,7 +4,9 @@ An element of Z[w], with w a primitive N-th root of unity, is stored as an
 integer coefficient vector on the power basis 1, w, ..., w^(phi(N)-1) and is
 reduced eagerly modulo the N-th cyclotomic polynomial.  On that basis an
 element is zero exactly when every stored coefficient is zero, which is what
-makes downstream rank and determinant decisions exact.
+makes downstream rank and determinant decisions exact.  One cached table
+per order, _ring(N), holds the coefficients of w^t for t = 0..N-1; it
+reduces every product, and root_power and the root table share its tuples.
 
 ExactScalar layers a positive integer denominator on top of CycInt, giving
 the field Q(w).  _bareiss, the package's one elimination, is fraction-free
@@ -113,35 +115,26 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-class _Ring:
-    __slots__ = ("phi", "rows")
-
-    def __init__(self, phi, rows):
-        self.phi = phi
-        self.rows = rows
-
-
 @functools.lru_cache(maxsize=16)
-def _ring(order: int) -> _Ring:
-    # rows[t - phi] holds the basis coefficients of w^t for
-    # t = phi .. max(2*phi - 2, order - 1).
+def _ring(order: int) -> tuple[tuple[int, ...], ...]:
+    # Entry t holds the basis coefficients of w^t for t = 0 .. order - 1;
+    # w^order = 1, so w^t for any t is entry t % order.
     poly = cyclotomic_poly(order)
     phi = len(poly) - 1
     top = [-c for c in poly[:phi]]
-    limit = max(2 * phi - 2, order - 1)
     rows = []
-    cur = list(top)
-    for _ in range(phi, limit + 1):
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(order):
         rows.append(tuple(cur))
         carry = cur[phi - 1]
         cur = [0] + cur[: phi - 1]
         if carry:
             cur = [x + carry * y for x, y in zip(cur, top)]
-    return _Ring(phi, tuple(rows))
+    return tuple(rows)
 
 
-def _mul_coeffs(ring: _Ring, a, b):
-    phi = ring.phi
+def _mul_coeffs(order: int, a, b):
+    phi = len(a)
     conv = [0] * (2 * phi - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -149,11 +142,11 @@ def _mul_coeffs(ring: _Ring, a, b):
                 if bj:
                     conv[i + j] += ai * bj
     out = conv[:phi]
-    rows = ring.rows
+    rows = _ring(order)
     for t in range(phi, 2 * phi - 1):
         c = conv[t]
         if c:
-            row = rows[t - phi]
+            row = rows[t % order]
             for i in range(phi):
                 ri = row[i]
                 if ri:
@@ -167,11 +160,11 @@ class CycInt:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        ring = _ring(order)
+        phi = len(_ring(order)[0])
         coeffs = tuple(coeffs)
-        if len(coeffs) != ring.phi:
+        if len(coeffs) != phi:
             raise ValueError(
-                f"order {order} needs exactly {ring.phi} coefficients, "
+                f"order {order} needs exactly {phi} coefficients, "
                 f"got {len(coeffs)}"
             )
         self.order = order
@@ -179,8 +172,7 @@ class CycInt:
 
     @classmethod
     def from_int(cls, order: int, value: int) -> "CycInt":
-        ring = _ring(order)
-        return cls(order, (value,) + (0,) * (ring.phi - 1))
+        return cls(order, (value,) + (0,) * (len(_ring(order)[0]) - 1))
 
     @classmethod
     def zero(cls, order: int) -> "CycInt":
@@ -215,7 +207,7 @@ class CycInt:
 
     def __mul__(self, other):
         self._check(other)
-        return CycInt(self.order, _mul_coeffs(_ring(self.order), self.coeffs, other.coeffs))
+        return CycInt(self.order, _mul_coeffs(self.order, self.coeffs, other.coeffs))
 
     def scale(self, k: int) -> "CycInt":
         if k == 1:
@@ -228,7 +220,7 @@ class CycInt:
         if not isinstance(other, int):
             self._check(other)
             inverse, other = _invert_coeffs(self.order, other.coeffs)
-            coeffs = _mul_coeffs(_ring(self.order), coeffs, inverse)
+            coeffs = _mul_coeffs(self.order, coeffs, inverse)
         if other == 0:
             raise DivisionByZero("division by zero")
         if other == 1 or other == -1:
@@ -277,20 +269,14 @@ class CycInt:
 
 def root_power(order: int, k: int) -> CycInt:
     """w^k reduced to the power basis, for w a primitive order-th root."""
-    ring = _ring(order)
-    t = k % order
-    if t < ring.phi:
-        coeffs = [0] * ring.phi
-        coeffs[t] = 1
-        return CycInt(order, coeffs)
-    return CycInt(order, ring.rows[t - ring.phi])
+    return CycInt(order, _ring(order)[k % order])
 
 
 @functools.lru_cache(maxsize=16)
 def _root_table(order: int) -> tuple[tuple["ExactScalar", ...], dict[tuple[int, ...], int]]:
-    """The scalars w^t for t = 0..order-1, and the map from their
-    coefficient tuples to t (distinct, since the power basis is a basis)."""
-    scalars = tuple(ExactScalar(root_power(order, t)) for t in range(order))
+    """The scalars w^t for t = 0..order-1 on the tuples of _ring(order), and
+    the map from those tuples to t (distinct, since the power basis is a basis)."""
+    scalars = tuple(ExactScalar(CycInt(order, coeffs)) for coeffs in _ring(order))
     return scalars, {s.num.coeffs: t for t, s in enumerate(scalars)}
 
 
@@ -338,9 +324,8 @@ def _invert_coeffs(order: int, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...]
     back substitution in d * x divides exactly.  Cached for _bareiss over
     Z[w], whose every step divides all its entries by the same pivot.
     """
-    ring = _ring(order)
-    phi = ring.phi
-    cols = [_mul_coeffs(ring, root_power(order, j).coeffs, coeffs) for j in range(phi)]
+    phi = len(coeffs)
+    cols = [_mul_coeffs(order, w_j, coeffs) for w_j in _ring(order)[:phi]]
     aug = [list(row) + [0] for row in zip(*cols)]
     aug[0][phi] = 1
     rank, _, d = _bareiss(aug, phi + 1, stop_at_gap=True)

@@ -253,10 +253,9 @@ def girth_via_representation(
             method="representation", trials=trials, seed=rng_seed,
         )
     master = random.Random(rng_seed)
-    seeds = [master.randrange(2**62) for _ in range(trials)]
     best = None
-    for s in seeds:
-        cert = spark(random_representation(g, s), budget=budget)
+    for _ in range(trials):
+        cert = spark(random_representation(g, master.randrange(2**62)), budget=budget)
         if best is None or cert.spark > best.spark:
             best = cert
         if best.spark > min(g.right_size, n):

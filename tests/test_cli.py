@@ -575,3 +575,79 @@ def test_cyclotomic_order_above_the_bound_exits_two_before_any_ring(capsys, tmp_
         code, doc, err = _run(capsys, argv)
         assert _one_line_error(code, doc, err), argv
         assert f"order must lie in 1..{cli.MAX_ORDER}" in err, argv
+
+
+def _int_matrix_file(tmp_path):
+    return _write_json(tmp_path / "m.json", {
+        "schema_version": 1, "kind": "integer", "rows": 2, "cols": 3, "entries": [1, 0, 1, 0, 1, 1]})
+
+
+@pytest.mark.parametrize("command", ["spark", "full-spark"])
+@pytest.mark.parametrize("restriction", [["--cols", "0,1"], ["--rows", "0"], ["--rows-file", "rows.json"]])
+def test_dft_restrictions_of_a_matrix_file_exit_two(capsys, tmp_path, command, restriction):
+    # Each restriction names DFT rows or columns; a matrix file would be certified whole.
+    _write_json(tmp_path / "rows.json", [0])
+    if restriction[0] == "--rows-file":
+        restriction = ["--rows-file", str(tmp_path / "rows.json")]
+    code, doc, err = _run(capsys, [command, "--matrix", _int_matrix_file(tmp_path), *restriction])
+    assert _one_line_error(code, doc, err) and f"{restriction[0]} needs --dft" in err
+
+
+@pytest.mark.parametrize("command", ["spark", "full-spark"])
+def test_matrix_and_dft_together_exit_two(capsys, tmp_path, command):
+    code, doc, err = _run(capsys, [command, "--matrix", _int_matrix_file(tmp_path),
+                                   "--dft", "7", "--rows", "0,1"])
+    assert _one_line_error(code, doc, err) and "exactly one of --matrix" in err
+    code, doc, err = _run(capsys, [command])
+    assert _one_line_error(code, doc, err) and "exactly one of --matrix" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spark", "--dft", "7"],
+    ["full-spark", "--dft", "7"],
+    ["dft-analyze", "--n", "7"],
+    ["orbit", "--n", "7"],
+    ["rip-check", "--n", "7", "--k", "2", "--delta", "0.5"],
+    ["construct", "--harmonic", "--n", "7", "--exact"],
+    ["construct", "--harmonic-identity", "--n", "7", "--k", "1"],
+])
+def test_rows_and_rows_file_together_exit_two(capsys, tmp_path, argv):
+    rows_file = _write_json(tmp_path / "rows.json", [0, 1, 3])
+    code, doc, err = _run(capsys, [*argv, "--rows", "0", "--rows-file", rows_file])
+    assert _one_line_error(code, doc, err) and "--rows and --rows-file" in err, err
+    assert _run(capsys, [*argv, "--rows-file", rows_file])[0] in (0, 1)
+
+
+@pytest.mark.parametrize("source", [["--rows", "0,1"], ["--rows-file", "rows.txt"]])
+def test_quadratic_residue_rows_and_a_second_row_source_exit_two(capsys, tmp_path, source):
+    (tmp_path / "rows.txt").write_text("0 1\n", encoding="utf-8")
+    if source[0] == "--rows-file":
+        source = ["--rows-file", str(tmp_path / "rows.txt")]
+    code, doc, err = _run(capsys, ["construct", "--harmonic", "--n", "5", *source, "--rows-qr"])
+    assert _one_line_error(code, doc, err) and f"{source[0]} and --rows-qr" in err
+
+
+@pytest.mark.parametrize("token", ["0_3", "٣", "３", "3.0", "0x3", "+-3", "3-"])
+def test_list_tokens_must_be_ascii_decimal_integers(capsys, tmp_path, token):
+    # int() reads "0_3" as 3 and "٣" (ARABIC-INDIC DIGIT THREE) as 3.
+    for argv in (
+        ["spark", "--dft", "7", "--rows", "0", "--cols", token],
+        ["spark", "--dft", "7", "--rows", f"0,{token}"],
+        ["construct", "--vandermonde", "--bases", f"1,{token}", "--m", "2"],
+    ):
+        code, doc, err = _run(capsys, argv)
+        assert _one_line_error(code, doc, err) and "expected integers" in err, argv
+    rows = tmp_path / "rows.txt"
+    rows.write_text(f"0 {token}\n", encoding="utf-8")
+    code, doc, err = _run(capsys, ["dft-analyze", "--n", "7", "--rows-file", str(rows)])
+    assert _one_line_error(code, doc, err) and "expected integers" in err
+
+
+def test_signed_list_tokens_are_read(capsys, tmp_path):
+    code, doc, _ = _run(capsys, ["construct", "--vandermonde", "--bases=-3,+2", "--m", "2", "--exact"])
+    assert code == 0 and doc["entries"] == [1, 1, -3, 2]
+    code, doc, _ = _run(capsys, ["spark", "--dft", "7", "--rows", "+0, +1", "--cols", "+1,3"])
+    assert code == 0 and (doc["rows"], doc["cols"]) == (2, 2)
+    # A negative row is read as an integer, then refused by the index-set rules.
+    code, doc, err = _run(capsys, ["spark", "--dft", "7", "--rows=0,-1"])
+    assert _one_line_error(code, doc, err) and "-1 outside 0..6" in err

@@ -27,6 +27,7 @@ from sparkforge.errors import (
     BadModulus,
     EmptyBases,
     IndexOutOfRange,
+    NonFiniteEntry,
     NotPrime,
     RankDeficient,
     ShapeError,
@@ -67,6 +68,15 @@ def test_vandermonde_errors():
         vandermonde((), 2)
     with pytest.raises(ShapeError):
         vandermonde((1, 2), 3)
+
+
+def test_vandermonde_float_powers_past_the_float_maximum_raise_non_finite_entry():
+    # (1e200)^2 overflows a float; the first two powers do not.
+    f = vandermonde([1e200, 2.0, 3.0], 2)
+    assert f.matrix[1].tolist() == [1e200, 2.0, 3.0] and f.exact_shadow is None
+    for bases in ([1e200, 2.0, 3.0], [2.0, 1e200j, 3.0], [complex(1e200, 1e200), 2.0, 3.0]):
+        with pytest.raises(NonFiniteEntry):
+            vandermonde(bases, 3)
 
 
 def test_harmonic_rows_0_2_of_order_4():

@@ -11,6 +11,8 @@ from sparkforge.exact_arith import (
     CycInt,
     ExactScalar,
     _invert_coeffs,
+    _ring,
+    _root_table,
     _units,
     divisors,
     euler_phi,
@@ -263,3 +265,46 @@ def test_units_are_ascending_and_number_phi():
         units = _units(n)
         assert units == sorted(set(units)) and len(units) == euler_phi(n)
         assert all(1 <= u <= n and math.gcd(u, n) == 1 for u in units)
+
+
+TABLE_ORDERS = [*range(1, 41), 61, 64]
+
+
+def _sympy_coeffs(poly, phi):
+    """Ascending coefficients of a sympy Poly, padded to phi entries."""
+    coeffs = [int(c) for c in poly.all_coeffs()[::-1]]
+    return tuple(coeffs + [0] * (phi - len(coeffs)))
+
+
+def test_power_table_and_products_match_sympy_remainders():
+    # At prime orders 2 * phi - 2 >= N, so products reduce through w^(t mod N).
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(25)
+    for n in TABLE_ORDERS:
+        modulus = sympy.cyclotomic_poly(n, x, polys=True)
+        phi = euler_phi(n)
+        table = _ring(n)
+        assert len(table) == n
+        for t in range(n):
+            want = _sympy_coeffs(sympy.Poly(x**t, x).rem(modulus), phi)
+            assert table[t] == want, (n, t)
+        for _ in range(3):
+            a = [rng.randint(-9, 9) for _ in range(phi)]
+            b = [rng.randint(-9, 9) for _ in range(phi)]
+            product = sympy.Poly(a[::-1], x) * sympy.Poly(b[::-1], x)
+            got = (CycInt(n, a) * CycInt(n, b)).coeffs
+            assert got == _sympy_coeffs(product.rem(modulus), phi), (n, a, b)
+
+
+@pytest.mark.parametrize("n", TABLE_ORDERS)
+def test_roots_share_the_power_table(n):
+    # A root table outlives an evicted _ring(n) and keeps its tuples, so it
+    # is built afresh here from the table now cached.
+    _root_table.cache_clear()
+    scalars, index = _root_table(n)
+    table = _ring(n)
+    for t in range(n):
+        assert scalars[t].num.coeffs is table[t]
+        assert root_power(n, t).coeffs is table[t] and root_power(n, t + 3 * n).coeffs is table[t]
+        assert index[table[t]] == t

@@ -151,6 +151,46 @@ def test_girth_via_representation_matches_hall_on_fixed_graphs():
         assert got.girth == want, g
 
 
+def test_girth_via_representation_draws_each_seed_when_it_is_used(monkeypatch):
+    # One draw already reaches the ceiling here, so one seed is drawn, not 10^5.
+    seeds = []
+
+    class Counting(random.Random):
+        def randrange(self, *args, **kwargs):
+            if args == (2**62,):
+                seeds.append(args)
+            return super().randrange(*args, **kwargs)
+
+    monkeypatch.setattr(matroid.random, "Random", Counting)
+    res = girth_via_representation(BipartiteGraph(3, 3, ((0,), (1,), (2,))), trials=10**5, rng_seed=5)
+    assert res.girth == 4 and len(seeds) == 1
+
+
+def _eager_girth(g, trials, rng_seed):
+    """The estimate with every seed drawn before the first representation."""
+    master = random.Random(rng_seed)
+    seeds = [master.randrange(2**62) for _ in range(trials)]
+    best = None
+    for s in seeds:
+        cert = spark(random_representation(g, s))
+        if best is None or cert.spark > best.spark:
+            best = cert
+        if best.spark > min(g.right_size, g.ground_size):
+            break
+    return best.spark, best.witness
+
+
+def test_girth_via_representation_matches_eager_seed_drawing():
+    rng = random.Random(97)
+    for _ in range(40):
+        g = _random_bipartite(rng)
+        if not any(g.adj):
+            continue
+        trials, seed = rng.randint(1, 6), rng.randrange(10**6)
+        res = girth_via_representation(g, trials=trials, rng_seed=seed)
+        assert (res.girth, res.witness) == _eager_girth(g, trials, seed), g
+
+
 def test_girth_via_representation_stops_at_the_ceiling(monkeypatch):
     # Draws stop once one reaches min(right, ground) + 1, which no draw can
     # pass; the result is the max over every draw, the first of equals.
