@@ -17,19 +17,14 @@ import re
 import sys
 import warnings
 
-import numpy as np
-
-from . import constructions, dft_analysis, matroid
+# Only modules without numpy are imported here, so that dft-analyze, orbit,
+# rip-check, Hall matroid-girth and clique-gadget never load it; handlers
+# import constructions, spark_engine and numpy themselves.
+from . import dft_analysis, matroid
 from .errors import BudgetExceeded, CapExceeded, SparkforgeError
 from .exact_arith import CycInt, ExactScalar, euler_phi, is_prime_power
 from .exact_linalg import ExactMatrix, dft_submatrix
-from .spark_engine import (
-    DEFAULT_BUDGET,
-    compressed_spark_probe,
-    is_full_spark,
-    numeric_spark_probe,
-    spark,
-)
+from .sweep import DEFAULT_BUDGET
 
 SCHEMA_VERSION = 1
 
@@ -87,7 +82,9 @@ def matrix_to_json(obj) -> dict:
             "order": obj.order,
             "entries": entries,
         }
-    arr = constructions._complex_matrix(obj)
+    from .constructions import _complex_matrix
+
+    arr = _complex_matrix(obj)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "complex_float",
@@ -160,6 +157,8 @@ def matrix_from_json(doc: dict):
             data = [complex(re, im) for re, im in entries]
         except OverflowError as exc:
             raise UsageError(f"complex entry out of float range: {exc}") from exc
+        import numpy as np
+
         return np.array(data, dtype=complex).reshape(rows, cols)
     raise UsageError(f"unknown matrix kind {kind!r}")
 
@@ -192,7 +191,9 @@ def _rows_from_args(args) -> list[int]:
     if len(given) > 1:  # every source but one would be ignored
         raise UsageError("give one row source, not " + " and ".join(given))
     if qr:
-        return list(constructions.quadratic_residue_rows(args.n))
+        from .constructions import quadratic_residue_rows
+
+        return list(quadratic_residue_rows(args.n))
     if args.rows_file:
         if args.rows_file.endswith(".json"):
             data = _read_json(args.rows_file)
@@ -214,37 +215,53 @@ def _load_matrix(args):
     return matrix_from_json(_read_json(args.matrix))
 
 
-# construct kind -> (options it needs, builder); each kind is also a flag.
+# construct kind -> (options it needs, other options it reads, builder of
+# (constructions module, args)); each kind is also a flag, and --exact goes
+# with every kind.
+_ROW_SOURCES = ("rows", "rows_file", "rows_qr")
 FRAMES = {
     "vandermonde": (
-        ("bases", "m"), lambda a: constructions.vandermonde(_parse_int_list(a.bases), a.m)
+        ("bases", "m"), (), lambda c, a: c.vandermonde(_parse_int_list(a.bases), a.m)
     ),
     "harmonic": (
-        ("n",),
-        lambda a: constructions.harmonic(_order(a.n), _rows_from_args(a), normalize=a.normalize),
+        ("n",), (*_ROW_SOURCES, "normalize"),
+        lambda c, a: c.harmonic(_order(a.n), _rows_from_args(a), normalize=a.normalize),
     ),
     "harmonic-identity": (
-        ("n", "k"),
-        lambda a: constructions.harmonic_identity(_order(a.n), _rows_from_args(a), a.k),
+        ("n", "k"), _ROW_SOURCES,
+        lambda c, a: c.harmonic_identity(_order(a.n), _rows_from_args(a), a.k),
     ),
     "optimal": (
-        ("n", "m"),
-        lambda a: constructions.optimal_vandermonde(_order(a.n), a.m, normalize=a.normalize),
+        ("n", "m"), ("normalize",),
+        lambda c, a: c.optimal_vandermonde(_order(a.n), a.m, normalize=a.normalize),
     ),
     "parseval": (
-        ("matrix",), lambda a: constructions.parseval_projection(_load_matrix(a))
+        ("matrix",), (), lambda c, a: c.parseval_projection(_load_matrix(a))
     ),
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _cmd_construct(args):
     kinds = [kind for kind in FRAMES if getattr(args, kind.replace("-", "_"))]
     if len(kinds) != 1:
         raise UsageError("pick exactly one of " + " ".join(f"--{kind}" for kind in FRAMES))
-    needs, build = FRAMES[kinds[0]]
+    needs, reads, build = FRAMES[kinds[0]]
     if any(getattr(args, name) is None for name in needs):
-        raise UsageError(f"--{kinds[0]} needs " + " and ".join(f"--{name}" for name in needs))
-    frame = build(args)
+        raise UsageError(f"--{kinds[0]} needs " + " and ".join(map(_flag, needs)))
+    # An option the kind does not read would be ignored; None and False
+    # are the defaults of the value options and of the flags.
+    known = {"command", "exact", *needs, *reads, *(kind.replace("-", "_") for kind in FRAMES)}
+    unread = [name for name, value in vars(args).items()
+              if name not in known and value is not None and value is not False]
+    if unread:
+        raise UsageError(f"--{kinds[0]} does not read " + " and ".join(map(_flag, unread)))
+    from . import constructions
+
+    frame = build(constructions, args)
     if args.exact:
         if frame.exact_shadow is None:
             raise UsageError("this construction has no exact shadow")
@@ -267,6 +284,8 @@ def _matrix_for_spark(args):
 
 
 def _cmd_spark(args):
+    from .spark_engine import numeric_spark_probe, spark
+
     target = _matrix_for_spark(args)
     if isinstance(target, ExactMatrix):
         return spark(target, budget=args.budget).as_dict(), 0
@@ -274,6 +293,8 @@ def _cmd_spark(args):
 
 
 def _cmd_full_spark(args):
+    from .spark_engine import is_full_spark
+
     target = _matrix_for_spark(args)
     if not isinstance(target, ExactMatrix):
         raise UsageError("full-spark certifies exact matrices only; use spark --tol for floats")
@@ -311,11 +332,13 @@ def _cmd_rip_check(args):
 
 
 def _cmd_coherence(args):
-    matrix = constructions._complex_matrix(_load_matrix(args))
-    result = constructions.coherence(matrix)
+    from .constructions import _complex_matrix, coherence, welch_bound_sq
+
+    matrix = _complex_matrix(_load_matrix(args))
+    result = coherence(matrix)
     m, n = matrix.shape
     return {"rows": int(m), "cols": int(n), "mu": result.mu, "pair": list(result.pair),
-            "welch_bound_sq": constructions.welch_bound_sq(m, n)}, 0
+            "welch_bound_sq": welch_bound_sq(m, n)}, 0
 
 
 def _cmd_matroid_girth(args):
@@ -339,6 +362,8 @@ def _cmd_clique_gadget(args):
 
 
 def _cmd_probe(args):
+    from .spark_engine import compressed_spark_probe, spark
+
     target = _load_matrix(args)
     if not isinstance(target, ExactMatrix) or not target.is_integer():
         raise UsageError("probe needs an integer matrix file")

@@ -115,8 +115,20 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
+class _Powers(tuple):
+    """The coefficient tuples of w^t for t = 0 .. order - 1, with the root
+    table built on them at first use, so that one cache entry holds both."""
+
+    order: int
+
+    @functools.cached_property
+    def roots(self) -> tuple[tuple["ExactScalar", ...], dict[tuple[int, ...], int]]:
+        scalars = tuple(ExactScalar(CycInt(self.order, coeffs)) for coeffs in self)
+        return scalars, {s.num.coeffs: t for t, s in enumerate(scalars)}
+
+
 @functools.lru_cache(maxsize=16)
-def _ring(order: int) -> tuple[tuple[int, ...], ...]:
+def _ring(order: int) -> _Powers:
     # Entry t holds the basis coefficients of w^t for t = 0 .. order - 1;
     # w^order = 1, so w^t for any t is entry t % order.
     poly = cyclotomic_poly(order)
@@ -130,7 +142,9 @@ def _ring(order: int) -> tuple[tuple[int, ...], ...]:
         cur = [0] + cur[: phi - 1]
         if carry:
             cur = [x + carry * y for x, y in zip(cur, top)]
-    return tuple(rows)
+    powers = _Powers(rows)
+    powers.order = order
+    return powers
 
 
 def _mul_coeffs(order: int, a, b):
@@ -272,12 +286,11 @@ def root_power(order: int, k: int) -> CycInt:
     return CycInt(order, _ring(order)[k % order])
 
 
-@functools.lru_cache(maxsize=16)
 def _root_table(order: int) -> tuple[tuple["ExactScalar", ...], dict[tuple[int, ...], int]]:
     """The scalars w^t for t = 0..order-1 on the tuples of _ring(order), and
-    the map from those tuples to t (distinct, since the power basis is a basis)."""
-    scalars = tuple(ExactScalar(CycInt(order, coeffs)) for coeffs in _ring(order))
-    return scalars, {s.num.coeffs: t for t, s in enumerate(scalars)}
+    the map from those tuples to t (distinct, since the power basis is a basis).
+    They live in _ring's cache entry and leave it with the tuples."""
+    return _ring(order).roots
 
 
 def _bareiss(m: list[list], ncols: int, stop_at_gap: bool) -> tuple[int, int, object]:

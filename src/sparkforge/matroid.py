@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import BadK, CapExceeded, ShapeError
 from .exact_linalg import ExactMatrix
-from .spark_engine import DEFAULT_BUDGET, _first_dependent, spark
+from .sweep import DEFAULT_BUDGET, _first_dependent
 
 __all__ = [
     "BipartiteGraph",
@@ -252,6 +252,8 @@ def girth_via_representation(
             girth=1, ground_size=n, witness=(0,) if n else None,
             method="representation", trials=trials, seed=rng_seed,
         )
+    from .spark_engine import spark  # loads numpy, which hall_girth never needs
+
     master = random.Random(rng_seed)
     best = None
     for _ in range(trials):

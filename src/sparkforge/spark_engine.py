@@ -3,19 +3,8 @@
 The spark of a matrix is the size of its smallest linearly dependent column
 subset, with sentinel cols+1 when every column subset is independent.  A
 matrix with M rows is "full spark" when the spark equals M+1, equivalently
-when every MxM column submatrix is invertible.
-
-One subset sweep, _first_dependent, decides spark, the full-spark check,
-the numeric probe and the Hall girth of matroid: the sizes it is given (1,
-2, ... or the single size M of a full-spark check) in turn, each entered
-only when its whole level fits in the budget and searched in lexicographic
-column order.  The witness reported is the lexicographically smallest
-dependent subset at the answer size, whatever the thread count.  When the
-whole sweep fits the budget, spark first searches its top size
-min(rows, cols): subsets of independent sets are independent, so one top
-level can settle all.  The numeric probe keeps the plain order (rank under
-a float tolerance is not monotone), and so does Hall girth, whose top level
-is the whole ground set.
+when every MxM column submatrix is invertible.  spark, the full-spark
+check and the numeric probe run the one subset sweep, sweep._first_dependent.
 
 The numeric probe and Hall girth test one subset at a time.  spark and
 the full-spark check search in blocks mod p: the matrix is mapped to F_p,
@@ -57,10 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import _complex_matrix, _unit_scaled
-from .errors import BudgetExceeded, CapExceeded, ShapeError
+from .errors import CapExceeded, ShapeError
 from .exact_arith import _root_table, _units, divisors, euler_phi
 from .exact_linalg import ExactMatrix, _integral_rows
 from .exact_linalg import det_exact, rank_exact  # noqa: F401 (bench/run.py --trace 1 wraps them)
+from .sweep import DEFAULT_BUDGET, _first_dependent
 
 __all__ = [
     "SparkCertificate",
@@ -71,8 +61,6 @@ __all__ = [
     "compressed_spark_probe",
     "DEFAULT_BUDGET",
 ]
-
-DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -157,47 +145,6 @@ class CompressedProbeResult:
                 list(self.candidate_columns) if self.candidate_columns is not None else None
             ),
         }
-
-
-def _lex_rank(n: int, combo: tuple[int, ...]) -> int:
-    """How many size-len(combo) subsets of range(n) precede combo in lex order.
-
-    Those with combo's first i elements and a smaller (i+1)-th element x,
-    prev < x < c, number sum_x C(n-x-1, k-i-1) = C(n-prev-1, k-i) - C(n-c, k-i)
-    by the hockey-stick identity.
-    """
-    k, rank, prev = len(combo), 0, -1
-    for i, c in enumerate(combo):
-        rank += math.comb(n - prev - 1, k - i) - math.comb(n - c, k - i)
-        prev = c
-    return rank
-
-
-def _first_dependent(
-    n: int, sizes, budget: int, search
-) -> tuple[int, tuple[int, ...] | None, int]:
-    """The one subset sweep: (k, cols, checked) for the first dependent subset.
-
-    The sizes are taken in turn, and a size is entered only when its whole
-    level fits in what is left of the budget; BudgetExceeded names the
-    first size that does not.  ``search(k)`` returns the lexicographically
-    first dependent size-k subset of range(n), or None; ``checked`` counts
-    every subset up to and including the answer.  When no subset is
-    dependent the answer is (max(sizes) + 1, None, checked), 1 for no size.
-    """
-    checked = 0
-    for k in sizes:
-        level = math.comb(n, k)
-        if checked + level > budget:
-            raise BudgetExceeded(
-                f"size-{k} level needs {level} more subsets, budget {budget}",
-                k_reached=k,
-            )
-        cols = search(k)
-        if cols is not None:
-            return k, cols, checked + _lex_rank(n, cols) + 1
-        checked += level
-    return max(sizes, default=0) + 1, None, checked
 
 
 def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:

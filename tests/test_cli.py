@@ -627,6 +627,25 @@ def test_quadratic_residue_rows_and_a_second_row_source_exit_two(capsys, tmp_pat
     assert _one_line_error(code, doc, err) and f"{source[0]} and --rows-qr" in err
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["--harmonic", "--n", "7", "--rows", "0,1", "--m", "3"], "--m"),
+    (["--optimal", "--n", "7", "--m", "3", "--bases", "1,2"], "--bases"),
+    (["--vandermonde", "--bases", "1,2,3", "--m", "2", "--k", "1"], "--k"),
+    (["--harmonic-identity", "--n", "7", "--rows", "0,1", "--k", "1", "--normalize"], "--normalize"),
+    (["--vandermonde", "--bases", "1,2,3", "--m", "2", "--rows", "0"], "--rows"),
+    (["--optimal", "--n", "7", "--m", "3", "--rows-qr"], "--rows-qr"),
+    (["--parseval", "--matrix", "-", "--n", "7"], "--n"),
+    (["--harmonic", "--n", "7", "--rows", "0,1", "--matrix", "frame.json"], "--matrix"),
+    (["--harmonic", "--n", "7", "--rows", "0,1", "--k", "0"], "--k"),  # 0 is given too
+    (["--optimal", "--n", "7", "--m", "3", "--rows-file", "rows.json", "--k", "2"],
+     "--k and --rows-file"),
+])
+def test_construct_refuses_an_option_its_kind_does_not_read(capsys, argv, unread):
+    code, doc, err = _run(capsys, ["construct", *argv])
+    assert _one_line_error(code, doc, err)
+    assert err == f"error: {argv[0]} does not read {unread}\n"
+
+
 @pytest.mark.parametrize("token", ["0_3", "٣", "３", "3.0", "0x3", "+-3", "3-"])
 def test_list_tokens_must_be_ascii_decimal_integers(capsys, tmp_path, token):
     # int() reads "0_3" as 3 and "٣" (ARABIC-INDIC DIGIT THREE) as 3.

@@ -171,5 +171,5 @@ def test_root_tables_keep_at_most_16_orders():
     # exponent map of exact_arith, and the images of the powers of g.
     for order in range(45, 65):
         assert is_full_spark(dft_submatrix(order, (0, 1))).full_spark
-    assert exact_arith._root_table.cache_info().currsize <= 16
+    assert exact_arith._ring.cache_info().currsize <= 16  # each root table lives in an entry
     assert spark_engine._root_images.cache_info().currsize <= 16

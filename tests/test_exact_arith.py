@@ -299,12 +299,22 @@ def test_power_table_and_products_match_sympy_remainders():
 
 @pytest.mark.parametrize("n", TABLE_ORDERS)
 def test_roots_share_the_power_table(n):
-    # A root table outlives an evicted _ring(n) and keeps its tuples, so it
-    # is built afresh here from the table now cached.
-    _root_table.cache_clear()
     scalars, index = _root_table(n)
     table = _ring(n)
     for t in range(n):
         assert scalars[t].num.coeffs is table[t]
         assert root_power(n, t).coeffs is table[t] and root_power(n, t + 3 * n).coeffs is table[t]
         assert index[table[t]] == t
+
+
+def test_root_table_and_power_table_leave_the_cache_together():
+    # Twenty orders, more than the cache keeps, read as the root table, then
+    # as products read the power table, then back in reverse: two caches of
+    # their own would pair a kept root table with a rebuilt power table here.
+    orders = range(41, 61)
+    for n in orders:
+        _root_table(n)
+    for n in orders:
+        _ring(n)
+    for n in reversed(orders):
+        assert all(_root_table(n)[0][t].num.coeffs is _ring(n)[t] for t in range(n)), n

@@ -16,6 +16,7 @@ from sparkforge import (
     random_representation,
     rank_exact,
     spark,
+    spark_engine,
 )
 from sparkforge.errors import BadK, BudgetExceeded, CapExceeded, ShapeError
 from sparkforge.spark_engine import SparkCertificate
@@ -195,7 +196,7 @@ def test_girth_via_representation_stops_at_the_ceiling(monkeypatch):
     # Draws stop once one reaches min(right, ground) + 1, which no draw can
     # pass; the result is the max over every draw, the first of equals.
     calls = []
-    monkeypatch.setattr(matroid, "spark", lambda a, budget: calls.append(a) or spark(a, budget))
+    monkeypatch.setattr(spark_engine, "spark", lambda a, budget: calls.append(a) or spark(a, budget))
     rng = random.Random(61)
     early = 0
     for _ in range(60):
@@ -219,7 +220,7 @@ def test_girth_via_representation_stops_at_the_ceiling(monkeypatch):
         SparkCertificate(k, 3, 5, w, 0, "exact")
         for k, w in [(2, (0, 1)), (3, (0, 1, 2)), (3, (1, 2, 3)), (2, (0, 3)), (4, None)]
     )
-    monkeypatch.setattr(matroid, "spark", lambda a, budget: next(draws))
+    monkeypatch.setattr(spark_engine, "spark", lambda a, budget: next(draws))
     g = BipartiteGraph(5, 3, ((0,), (1,), (2,), (0, 1), (1, 2)))
     res = girth_via_representation(g, trials=4, rng_seed=0)
     assert (res.girth, res.witness) == (3, (0, 1, 2)) and next(draws).spark == 4

@@ -21,7 +21,7 @@ from sparkforge import (
 )
 from sparkforge.exact_arith import ExactScalar
 from sparkforge.exact_linalg import ExactMatrix
-from sparkforge.spark_engine import _lex_rank
+from sparkforge.sweep import _lex_rank
 from sparkforge.errors import (
     BudgetExceeded,
     CapExceeded,

@@ -24,11 +24,10 @@ from sparkforge.exact_linalg import ExactMatrix, dft_submatrix, rank_exact
 from sparkforge.spark_engine import (
     SparkCertificate,
     _block_search,
-    _first_dependent,
-    _lex_rank,
     _root_images,
     spark,
 )
+from sparkforge.sweep import _first_dependent, _lex_rank
 
 from test_spark_fp import _outcome, _random_scalar
 

@@ -19,7 +19,7 @@ import random
 import numpy as np
 import pytest
 
-from sparkforge import spark_engine
+from sparkforge import spark_engine, sweep
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.matroid import BipartiteGraph, girth_via_representation
 from sparkforge.spark_engine import _lex_walk, is_full_spark, spark
@@ -94,7 +94,7 @@ def test_spark_witness_past_column_255_is_exact():
     a = ExactMatrix.from_rows([[c[i] for c in cols] for i in range(2)])
     cert = spark(a)
     assert (cert.spark, cert.witness) == (2, (256, 290))
-    assert cert.checked_subsets == 300 + spark_engine._lex_rank(300, (256, 290)) + 1
+    assert cert.checked_subsets == 300 + sweep._lex_rank(300, (256, 290)) + 1
 
 
 def test_byte_bound_holds_under_plain_and_orbit_keys(monkeypatch):
