@@ -11,9 +11,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The library modules in the order of __all__, and in the order a name is
-# looked for: the modules that do not import numpy first.
-_MODULES = ("exact_arith", "exact_linalg", "spark_engine", "constructions", "dft_analysis", "matroid")
+# The library modules in the order a name is looked for, and of __all__:
+# the modules that do not import numpy first.
 _SEARCH = ("exact_arith", "exact_linalg", "dft_analysis", "matroid", "spark_engine", "constructions")
 
 
@@ -23,8 +22,8 @@ def _module(name: str):
 
 def __getattr__(name: str):
     if name == "__all__":
-        value = ["errors", *(n for m in _MODULES for n in _module(m).__all__), "__version__"]
-    elif name == "errors" or name in _MODULES:
+        value = ["errors", *(n for m in _SEARCH for n in _module(m).__all__), "__version__"]
+    elif name == "errors" or name in _SEARCH:
         value = _module(name)
     else:
         owner = next((m for m in map(_module, _SEARCH) if name in m.__all__), None)

@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-import warnings
 
 # Only modules without numpy are imported here, so that dft-analyze, orbit,
 # rip-check, Hall matroid-girth and clique-gadget never load it; handlers
@@ -36,9 +35,9 @@ BUDGET_ENV = "SPARKFORGE_BUDGET"
 # table: about 32 MiB at the prime 2039, growing as the square of the order.
 MAX_ORDER = 2048
 
-# Most row entries `orbit` prints: 10^6, as for the adjacency entries of
-# `clique-gadget`.
-MAX_ORBIT_ENTRIES = matroid.MAX_GADGET_ENTRIES
+# Most row entries `orbit` prints, and most coefficients `construct --exact`
+# prints: 10^6, as for the adjacency entries of `clique-gadget`.
+MAX_PRINTED_ENTRIES = matroid.MAX_GADGET_ENTRIES
 
 
 def _default_budget() -> int:
@@ -266,6 +265,10 @@ def _cmd_construct(args):
         if frame.exact_shadow is None:
             raise UsageError("this construction has no exact shadow")
         frame = frame.exact_shadow
+        # An integer matrix has order 1: one coefficient per entry.
+        coeffs = frame.rows * frame.cols * euler_phi(frame.order)
+        if coeffs > MAX_PRINTED_ENTRIES:
+            raise CapExceeded(f"exact matrix has {coeffs} coefficients, cap {MAX_PRINTED_ENTRIES}")
     return matrix_to_json(frame), 0
 
 
@@ -318,7 +321,7 @@ def _cmd_dft_analyze(args):
 
 def _cmd_orbit(args):
     index_set = _index_set(args.n, args)
-    orbit = dft_analysis.closure_orbit(index_set, cap=args.cap, max_entries=MAX_ORBIT_ENTRIES)
+    orbit = dft_analysis.closure_orbit(index_set, cap=args.cap, max_entries=MAX_PRINTED_ENTRIES)
     members = sorted(list(s) for s in orbit)
     return {"n": args.n, "seed_rows": list(index_set), "size": len(members), "orbit": members}, 0
 
@@ -367,14 +370,13 @@ def _cmd_probe(args):
     target = _load_matrix(args)
     if not isinstance(target, ExactMatrix) or not target.is_integer():
         raise UsageError("probe needs an integer matrix file")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = compressed_spark_probe(
-            target, args.k, trials=args.trials, rng_seed=args.seed, p_cap=args.p_cap,
-            allow_cap=not args.no_cap, budget=args.budget,
-        )
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    result = compressed_spark_probe(
+        target, args.k, trials=args.trials, rng_seed=args.seed, p_cap=args.p_cap,
+        allow_cap=not args.no_cap, budget=args.budget,
+    )
+    if result.capped:
+        print(f"warning: sketch base pool capped at {result.p}; "
+              "the success guarantee degrades", file=sys.stderr)
     doc = dict(result.as_dict(), witness=None, corroborated=False)
     if not result.exceeds_k and args.corroborate:
         cert = spark(target, budget=args.budget)

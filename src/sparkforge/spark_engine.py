@@ -40,7 +40,6 @@ import functools
 import itertools
 import math
 import random
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,9 +184,11 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _is_prime_below_2_31(n: int) -> bool:
-    """Deterministic Miller-Rabin on bases 2, 3, 5, 7; exact below 3.2e9."""
-    if n < 11:
-        return n in (2, 3, 5, 7)
+    """Deterministic Miller-Rabin on bases 2, 3, 5, 7 for n in (2^30, 2^31).
+
+    The bases make it exact for every n > 7 below 3.2e9, so the one step
+    _root_images may take past 2^31 before it stops is still decided right.
+    """
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     for base in (2, 3, 5, 7):
         x = pow(base, (n - 1) >> s, n)
@@ -671,8 +672,8 @@ def compressed_spark_probe(
     Each trial compresses F to k rows with a Vandermonde sketch on k
     distinct bases drawn from {1, ..., P}, P = rows^3 * 2^(cols+1), and
     checks the compressed matrix for full spark exactly.  P is clamped to
-    p_cap (with a warning recorded on the result) unless allow_cap is
-    False, in which case CapExceeded is raised.
+    p_cap, which the result records as capped=True and p=p_cap, unless
+    allow_cap is False, in which case CapExceeded is raised.
     """
     if not isinstance(f, ExactMatrix) or not f.is_integer():
         raise TypeError("compressed probe needs an integer ExactMatrix")
@@ -686,11 +687,6 @@ def compressed_spark_probe(
     if p > p_cap:
         if not allow_cap:
             raise CapExceeded(f"P = {p} exceeds cap {p_cap}")
-        warnings.warn(
-            f"sketch base pool capped at {p_cap} (uncapped size {p}); "
-            "the success guarantee degrades",
-            stacklevel=2,
-        )
         p = p_cap
         capped = True
     if p < k:

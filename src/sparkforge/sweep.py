@@ -5,12 +5,12 @@ the numeric probe and the Hall girth of matroid: the sizes it is given (1,
 2, ... or the single size M of a full-spark check) in turn, each entered
 only when its whole level fits in the budget and searched in lexicographic
 column order.  The witness reported is the lexicographically smallest
-dependent subset at the answer size, whatever the thread count.  When the
-whole sweep fits the budget, spark first searches its top size
-min(rows, cols): subsets of independent sets are independent, so one top
-level can settle all.  The numeric probe keeps the plain order (rank under
-a float tolerance is not monotone), and so does Hall girth, whose top level
-is the whole ground set.
+dependent subset at the answer size.  When the whole sweep fits the
+budget, spark first searches its top size min(rows, cols): subsets of
+independent sets are independent, so one top level can settle all.  The
+numeric probe keeps the plain order (rank under a float tolerance is not
+monotone), and so does Hall girth, whose top level is the whole ground
+set.
 """
 
 from __future__ import annotations

@@ -178,7 +178,7 @@ def test_orbit_past_the_entry_bound_exits_three(capsys, order):
     # 10^6 from N = 1001 on; refused before any complement is built.
     code, doc, err = _run(capsys, ["orbit", "--n", str(order), "--rows", "0"])
     assert code == 3 and doc is None
-    assert err == f"error: orbit exceeds {cli.MAX_ORBIT_ENTRIES} row entries\n"
+    assert err == f"error: orbit exceeds {cli.MAX_PRINTED_ENTRIES} row entries\n"
 
 
 def test_rip_check_threshold(capsys):
@@ -670,3 +670,76 @@ def test_signed_list_tokens_are_read(capsys, tmp_path):
     # A negative row is read as an integer, then refused by the index-set rules.
     code, doc, err = _run(capsys, ["spark", "--dft", "7", "--rows=0,-1"])
     assert _one_line_error(code, doc, err) and "-1 outside 0..6" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spark", "--matrix", "{long}"], "error: coefficient vector longer than 4\n"),
+    (["spark", "--matrix", "{bogus}"], "error: unknown matrix kind 'bogus'\n"),
+    (["construct", "--harmonic", "--rows", "0,1"], "error: --harmonic needs --n\n"),
+    (["construct", "--parseval", "--matrix", "{float}", "--exact"],
+     "error: this construction has no exact shadow\n"),
+    (["full-spark", "--matrix", "{float}"],
+     "error: full-spark certifies exact matrices only; use spark --tol for floats\n"),
+    (["probe", "--matrix", "{dup}", "--k", "0"],
+     "error: ShapeError: k must lie in 1..min(rows, cols), got 0\n"),
+    (["probe", "--matrix", "{dup}", "--k", "2", "--trials", "0"],
+     "error: trials must be positive\n"),
+])
+def test_refusals_exit_two_with_one_line(capsys, tmp_path, argv, message):
+    files = {
+        "long": {"schema_version": 1, "kind": "cyclotomic", "order": 5, "rows": 1, "cols": 1,
+                 "entries": [[1, 0, 0, 0, 0]]},
+        "bogus": {"schema_version": 1, "kind": "bogus", "rows": 1, "cols": 1, "entries": [1]},
+        "float": {"schema_version": 1, "kind": "complex_float", "rows": 2, "cols": 3,
+                  "entries": [[1, 0], [1, 0], [0, 1], [2, 0], [2, 0], [0, -1]]},
+        "dup": {"schema_version": 1, "kind": "integer", "rows": 2, "cols": 3,
+                "entries": [1, 1, 2, 2, 2, 3]},
+    }
+    paths = {name: _write_json(tmp_path / f"{name}.json", doc) for name, doc in files.items()}
+    code, doc, err = _run(capsys, [arg.format(**paths) for arg in argv])
+    assert _one_line_error(code, doc, err) and err == message
+
+
+def test_construct_exact_past_the_coefficient_bound_exits_three(capsys):
+    # 31 rows of the order-256 DFT hold 31 * 256 * phi(256) = 1,015,808 coefficients.
+    code, doc, err = _run(capsys, ["construct", "--harmonic", "--n", "256",
+                                   "--rows", ",".join(map(str, range(31))), "--exact"])
+    assert code == 3 and doc is None
+    assert err == f"error: exact matrix has 1015808 coefficients, cap {cli.MAX_PRINTED_ENTRIES}\n"
+    # Without --exact nothing is counted: the float matrix prints as before.
+    code, doc, _ = _run(capsys, ["construct", "--harmonic", "--n", "256", "--rows", "0"])
+    assert code == 0 and doc["kind"] == "complex_float"
+
+
+def test_construct_exact_bound_is_inclusive(capsys, monkeypatch):
+    # The benchmark's exact construct, 3 rows of the order-7 DFT, holds
+    # 3 * 7 * 6 = 126 coefficients and prints the shadow's matrix file.
+    monkeypatch.setattr(cli, "MAX_PRINTED_ENTRIES", 126)
+    code, doc, _ = _run(capsys, ["construct", "--harmonic", "--n", "7", "--rows", "0,2,5", "--exact"])
+    assert code == 0
+    assert doc == cli.matrix_to_json(constructions.harmonic(7, (0, 2, 5)).exact_shadow)
+    assert sum(map(len, doc["entries"])) == 126
+    code, doc, err = _run(capsys, ["construct", "--harmonic", "--n", "7", "--rows", "0,2,3,5",
+                                   "--exact"])
+    assert code == 3 and doc is None and err == "error: exact matrix has 168 coefficients, cap 126\n"
+    vandermonde = ["construct", "--vandermonde", "--bases", ",".join(map(str, range(1, 21))),
+                   "--m", "7"]
+    code, doc, err = _run(capsys, [*vandermonde, "--exact"])
+    assert code == 3 and doc is None and err == "error: exact matrix has 140 coefficients, cap 126\n"
+    code, doc, _ = _run(capsys, vandermonde)
+    assert code == 0 and doc["kind"] == "complex_float"
+
+
+def test_capped_probe_warns_once_on_stderr(capsys, tmp_path):
+    # P = 3^3 * 2^21 = 56,623,104 for a 3 x 20 matrix, above the default cap.
+    entries = [(3 * i + 7 * j) % 11 - 5 for i in range(3) for j in range(20)]
+    path = _write_json(tmp_path / "wide.json", {"schema_version": 1, "kind": "integer",
+                                                "rows": 3, "cols": 20, "entries": entries})
+    code, doc, err = _run(capsys, ["probe", "--matrix", path, "--k", "2", "--trials", "1"])
+    assert code in (0, 1) and doc["capped"] is True and doc["p"] == 10**6
+    assert err == "warning: sketch base pool capped at 1000000; the success guarantee degrades\n"
+    code, doc, err = _run(capsys, ["probe", "--matrix", path, "--k", "2", "--trials", "1",
+                                   "--p-cap", str(10**8)])
+    assert doc["capped"] is False and doc["p"] == 56_623_104 and err == ""
+    code, doc, err = _run(capsys, ["probe", "--matrix", path, "--k", "2", "--no-cap"])
+    assert code == 3 and doc is None and err.startswith("error: P = 56623104 exceeds cap")

@@ -11,6 +11,7 @@ columns: each must miss the affine-orbit detection and agree with the
 same oracles.
 """
 
+import itertools
 import math
 
 import pytest
@@ -40,6 +41,32 @@ def _primes_seen(monkeypatch):
 
     monkeypatch.setattr(spark_engine, "_vanishing_mod_p", recording)
     return seen
+
+
+@pytest.mark.parametrize("start", [(1 << 30) + 1, (1 << 31) - 20_001])
+def test_primality_check_matches_sympy_near_the_ends_of_its_range(start):
+    for n in range(start, start + 20_000, 2):
+        assert spark_engine._is_prime_below_2_31(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("n", [1104194521, 1121176981, 1157839381])
+def test_primality_check_refuses_strong_pseudoprimes(n):
+    # Composites p (2p - 1) that pass base 2; the last passes 2, 3 and 5.
+    assert not sympy.isprime(n) and not spark_engine._is_prime_below_2_31(n)
+
+
+@pytest.mark.parametrize("order", [1, 12, 1009])
+def test_root_image_primes_are_the_first_primes_of_the_walk(order):
+    # _root_images walks p = 1 (mod order) up from 2^30 and takes each prime.
+    floor = spark_engine._PRIME_FLOOR
+    walk = itertools.count(floor + 1 + (-floor) % order, order)
+    primes = []
+    while len(primes) < 3:
+        n = next(walk)
+        assert spark_engine._is_prime_below_2_31(n) == sympy.isprime(n), n
+        if sympy.isprime(n):
+            primes.append(n)
+    assert [_root_images(order, i)[0] for i in range(3)] == primes
 
 
 def test_product_of_two_primes_takes_a_third(monkeypatch):
