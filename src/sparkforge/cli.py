@@ -21,7 +21,7 @@ import sys
 # import constructions, spark_engine and numpy themselves.
 from . import dft_analysis, matroid
 from .errors import BudgetExceeded, CapExceeded, SparkforgeError
-from .exact_arith import CycInt, ExactScalar, euler_phi, is_prime_power
+from .exact_arith import CycInt, ExactScalar, euler_phi, is_prime, is_prime_power
 from .exact_linalg import ExactMatrix, dft_submatrix
 from .sweep import DEFAULT_BUDGET
 
@@ -174,10 +174,13 @@ def _read_json(path: str):
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 
+# int() would also take "0_3", padding and non-ASCII digits.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_int_list(text: str) -> list[int]:
-    # int() would also take "0_3", padding and non-ASCII digits.
     tokens = text.replace(",", " ").split()
-    if not all(re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens):
+    if not all(map(_INT_TOKEN.fullmatch, tokens)):
         raise UsageError(f"expected integers, got {text!r}")
     return [int(tok) for tok in tokens]
 
@@ -215,29 +218,44 @@ def _load_matrix(args):
 
 
 # construct kind -> (options it needs, other options it reads, builder of
-# (constructions module, args)); each kind is also a flag, and --exact goes
-# with every kind.
+# (constructions module, args), count of its exact shadow's coefficients
+# from args or None for a kind without one); each kind is also a flag, and
+# --exact goes with every kind.
 _ROW_SOURCES = ("rows", "rows_file", "rows_qr")
 FRAMES = {
     "vandermonde": (
-        ("bases", "m"), (), lambda c, a: c.vandermonde(_parse_int_list(a.bases), a.m)
+        ("bases", "m"), (), lambda c, a: c.vandermonde(_parse_int_list(a.bases), a.m),
+        lambda a: _coefficients(a.m, len(_parse_int_list(a.bases)), 1),
     ),
     "harmonic": (
         ("n",), (*_ROW_SOURCES, "normalize"),
         lambda c, a: c.harmonic(_order(a.n), _rows_from_args(a), normalize=a.normalize),
+        lambda a: _coefficients(len(_index_set(a.n, a)), a.n, a.n),
     ),
     "harmonic-identity": (
         ("n", "k"), _ROW_SOURCES,
         lambda c, a: c.harmonic_identity(_order(a.n), _rows_from_args(a), a.k),
+        lambda a: (_coefficients(len(_index_set(a.n, a)), a.n + a.k, a.n, a.k)
+                   if is_prime(_order(a.n)) else 0),
     ),
     "optimal": (
         ("n", "m"), ("normalize",),
         lambda c, a: c.optimal_vandermonde(_order(a.n), a.m, normalize=a.normalize),
+        lambda a: _coefficients(a.m, _order(a.n), a.n),
     ),
     "parseval": (
-        ("matrix",), (), lambda c, a: c.parseval_projection(_load_matrix(a))
+        ("matrix",), (), lambda c, a: c.parseval_projection(_load_matrix(a)), None,
     ),
 }
+
+
+def _coefficients(rows: int, cols: int, order: int, spikes: int = 1) -> int:
+    """Power-basis coefficients of a rows x cols exact shadow of the given
+    order (an integer one has order 1, one per entry), counted before it is
+    built.  A shape its builder refuses (no rows, more rows than columns,
+    spikes outside 1..rows) counts 0, so that the builder's own error,
+    exit 2, comes first."""
+    return rows * cols * euler_phi(order) if 1 <= rows <= cols and 1 <= spikes <= rows else 0
 
 
 def _flag(name: str) -> str:
@@ -248,7 +266,7 @@ def _cmd_construct(args):
     kinds = [kind for kind in FRAMES if getattr(args, kind.replace("-", "_"))]
     if len(kinds) != 1:
         raise UsageError("pick exactly one of " + " ".join(f"--{kind}" for kind in FRAMES))
-    needs, reads, build = FRAMES[kinds[0]]
+    needs, reads, build, coefficients = FRAMES[kinds[0]]
     if any(getattr(args, name) is None for name in needs):
         raise UsageError(f"--{kinds[0]} needs " + " and ".join(map(_flag, needs)))
     # An option the kind does not read would be ignored; None and False
@@ -258,18 +276,16 @@ def _cmd_construct(args):
               if name not in known and value is not None and value is not False]
     if unread:
         raise UsageError(f"--{kinds[0]} does not read " + " and ".join(map(_flag, unread)))
+    if args.exact:
+        if coefficients is None:
+            raise UsageError("this construction has no exact shadow")
+        coeffs = coefficients(args)
+        if coeffs > MAX_PRINTED_ENTRIES:
+            raise CapExceeded(f"exact matrix has {coeffs} coefficients, cap {MAX_PRINTED_ENTRIES}")
     from . import constructions
 
     frame = build(constructions, args)
-    if args.exact:
-        if frame.exact_shadow is None:
-            raise UsageError("this construction has no exact shadow")
-        frame = frame.exact_shadow
-        # An integer matrix has order 1: one coefficient per entry.
-        coeffs = frame.rows * frame.cols * euler_phi(frame.order)
-        if coeffs > MAX_PRINTED_ENTRIES:
-            raise CapExceeded(f"exact matrix has {coeffs} coefficients, cap {MAX_PRINTED_ENTRIES}")
-    return matrix_to_json(frame), 0
+    return matrix_to_json(frame.exact_shadow if args.exact else frame), 0
 
 
 def _matrix_for_spark(args):

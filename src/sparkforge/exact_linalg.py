@@ -8,6 +8,10 @@ up to the sign of the row swaps.  Integer rows go in as they are.  Each
 Q(w) row is first cleared by the lcm of its denominators, so the
 elimination runs in Z[w], where Sylvester's identity makes every division
 exact, and the product of those lcms divides the determinant at the end.
+
+This module is also the one that knows which entries are roots of unity
+w^t, and for which t (ExactMatrix.root_exponents): a DFT submatrix records
+the table it is built from, any other matrix looks its entries up once.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ class ExactMatrix:
     """Row-major matrix of integers or of ExactScalar entries.
 
     ``order`` is the common cyclotomic order of the entries; integer
-    matrices carry order 1.
+    matrices carry order 1.  The exponent table (root_exponents) is held in
+    ``_exponents`` once known; equality and hashing ignore it.
     """
 
-    __slots__ = ("rows", "cols", "order", "entries", "kind")
+    __slots__ = ("rows", "cols", "order", "entries", "kind", "_exponents")
 
     def __init__(self, rows: int, cols: int, entries, order: int = 1):
         if rows < 0 or cols < 0:
@@ -86,6 +91,23 @@ class ExactMatrix:
 
     def is_integer(self) -> bool:
         return self.kind == _INT
+
+    def root_exponents(self) -> tuple[int, ...] | None:
+        """The row-major table T with entry k equal to w^T[k], or None when
+        the matrix is integer or some entry is not such a root.
+
+        dft_submatrix records its table as it builds the entries.  Any other
+        matrix looks its entries up by value, in the root table of its
+        order, the first time it is asked: each distinct entry object once,
+        and a root has denominator 1.
+        """
+        if self.kind == _INT:
+            return None
+        try:
+            return self._exponents
+        except AttributeError:
+            self._exponents = _exponents_by_value(self)
+            return self._exponents
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -162,6 +184,18 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, order={self.order}, kind={self.kind})"
 
 
+def _exponents_by_value(a: ExactMatrix) -> tuple[int, ...] | None:
+    index = _root_table(a.order)[1]
+    ids = list(map(id, a.entries))
+    exponent = {}
+    for key, e in dict(zip(ids, a.entries)).items():
+        t = index.get(e.num.coeffs) if e.den == 1 else None
+        if t is None:
+            return None
+        exponent[key] = t
+    return tuple(map(exponent.__getitem__, ids))
+
+
 def _integral_rows(a: ExactMatrix) -> tuple[list[list], int]:
     """The rows of a, each Q(w) row cleared by the lcm of its denominators, and their product."""
     if a.kind == _INT:
@@ -197,16 +231,30 @@ def dft_submatrix(order: int, rows, cols=None) -> ExactMatrix:
     """Rows of the order-th DFT matrix as an exact cyclotomic matrix.
 
     Entry (i, j) is w^(rows[i] * cols[j]) with w a primitive order-th root
-    of unity; cols defaults to the whole residue range.
+    of unity; cols defaults to the whole residue range.  The exponents
+    rows[i] * cols[j] mod order are computed once, each entry is the shared
+    scalar at that index of the order's root table, and the exponents are
+    recorded as the matrix's root_exponents.  The root table is the
+    validation: no entry is checked again, and the matrix is never looked
+    up by value.
     """
     rows = list(rows)
-    cols = list(range(order)) if cols is None else list(cols)
-    if any(r < 0 or r >= order for r in rows):
+    if rows and not 0 <= min(rows) <= max(rows) < order:
         raise IndexOutOfRange("row index out of residue range")
-    if any(c < 0 or c >= order for c in cols):
-        raise IndexOutOfRange("column index out of residue range")
-    # Entries are the shared scalars of the per-order root table, which the
-    # block search maps to their exponents once per distinct object.
+    if cols is None:
+        cols = range(order)
+    else:
+        cols = list(cols)
+        if cols and not 0 <= min(cols) <= max(cols) < order:
+            raise IndexOutOfRange("column index out of residue range")
+        # operator.index refuses a float index and keeps the table Python ints.
+        cols = list(map(operator.index, cols))
     roots = _root_table(order)[0]
-    ents = [roots[m * n % order] for m in rows for n in cols]
-    return ExactMatrix(len(rows), len(cols), ents, order)
+    exponents = tuple([r * c % order for r in map(operator.index, rows) for c in cols])
+    a = ExactMatrix.__new__(ExactMatrix)
+    a.rows, a.cols, a.order = len(rows), len(cols), order
+    a.entries = tuple(map(roots.__getitem__, exponents))
+    # With no entries the order alone sets the kind, as in ExactMatrix().
+    a.kind = _SCALAR if exponents or order != 1 else _INT
+    a._exponents = exponents
+    return a

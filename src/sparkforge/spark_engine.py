@@ -46,7 +46,7 @@ import numpy as np
 
 from .constructions import _complex_matrix, _unit_scaled
 from .errors import CapExceeded, ShapeError
-from .exact_arith import _root_table, _units, divisors, euler_phi
+from .exact_arith import _units, divisors, euler_phi
 from .exact_linalg import ExactMatrix, _integral_rows
 from .exact_linalg import det_exact, rank_exact  # noqa: F401 (bench/run.py --trace 1 wraps them)
 from .sweep import DEFAULT_BUDGET, _first_dependent
@@ -358,8 +358,10 @@ def _block_search(a: ExactMatrix):
     The matrix is held as one column-major array for _images, under the
     first prime here and under every prime of the proof: the exponent
     table of a matrix whose every entry is a root of unity w^t
-    (_root_exponents), else the power-basis coefficients (_integral_coeffs).
-    No coefficients are built for a matrix of roots.
+    (_root_exponents: the table a DFT submatrix was built from, or the one
+    exact_linalg looked up once for any other matrix), else the power-basis
+    coefficients (_integral_coeffs).  No coefficients are built for a
+    matrix of roots.
 
     When a is DFT rows over all N columns (_dft_rows), the rank of a
     column subset is constant on its orbit under the affine maps
@@ -415,23 +417,17 @@ def _blocks(chunks, size: int, cap: int):
 
 
 def _root_exponents(a: ExactMatrix) -> np.ndarray | None:
-    """T of shape (rows, cols) with entry (i, j) of a equal to w^T[i, j], or
-    None when a is an integer matrix or some entry is not such a root.
+    """a.root_exponents() as an intp array of shape (rows, cols), or None.
 
-    Each distinct entry object is looked up once, by value, in the root
-    table of its order; a root has denominator 1.
+    exact_linalg owns the table: a DFT submatrix records it as it is built,
+    any other matrix finds it by value once.  This is the engine's one
+    reader of it, so that replacing it with None sends any matrix down the
+    coefficient path.
     """
-    if a.is_integer():
+    exponents = a.root_exponents()
+    if exponents is None:
         return None
-    index = _root_table(a.order)[1]
-    ids = list(map(id, a.entries))
-    exponent = {}
-    for key, e in dict(zip(ids, a.entries)).items():
-        t = index.get(e.num.coeffs) if e.den == 1 else None
-        if t is None:
-            return None
-        exponent[key] = t
-    return np.fromiter(map(exponent.__getitem__, ids), np.intp, len(ids)).reshape(a.rows, a.cols)
+    return np.fromiter(exponents, np.intp, len(exponents)).reshape(a.rows, a.cols)
 
 
 # Orbit masks sum distinct bits in uint64, so the affine-orbit sweep takes N <= 64.

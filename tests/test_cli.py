@@ -730,6 +730,46 @@ def test_construct_exact_bound_is_inclusive(capsys, monkeypatch):
     assert code == 0 and doc["kind"] == "complex_float"
 
 
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("the frame was built")
+
+
+@pytest.mark.parametrize("builder, argv, coeffs", [
+    # 500,000 bases at m = 3: 1,500,000 integer entries.
+    ("vandermonde", ["--vandermonde", "--bases=" + ",".join(map(str, range(1, 500_001))),
+                     "--m", "3"], 1_500_000),
+    ("harmonic", ["--harmonic", "--n", "256", "--rows", ",".join(map(str, range(31)))], 1_015_808),
+    # 2 rows of order 2039 beside 1 spike: 2 * 2040 * 2038.
+    ("harmonic_identity", ["--harmonic-identity", "--n", "2039", "--rows", "0,1", "--k", "1"],
+     8_315_040),
+    ("optimal_vandermonde", ["--optimal", "--n", "256", "--m", "31"], 1_015_808),
+])
+def test_construct_exact_is_refused_before_the_build(capsys, monkeypatch, builder, argv, coeffs):
+    monkeypatch.setattr(constructions, builder, _refuse_to_build)
+    code, doc, err = _run(capsys, ["construct", *argv, "--exact"])
+    assert code == 3 and doc is None
+    assert err == f"error: exact matrix has {coeffs} coefficients, cap {cli.MAX_PRINTED_ENTRIES}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--vandermonde", "--bases", "1,2", "--m", "1000000"],
+     "error: ShapeError: need at least 1000000 bases for an 1000000-row frame\n"),
+    (["--optimal", "--n", "2048", "--m", "2049"], "error: ShapeError: need order >= m >= 1\n"),
+    (["--harmonic-identity", "--n", "2039", "--rows", "0,1", "--k", "3"],
+     "error: ShapeError: k must lie in 1..2\n"),
+    (["--harmonic-identity", "--n", "2048", "--rows", ",".join(map(str, range(31))), "--k", "1"],
+     "error: NotPrime: 2048 is not prime\n"),
+    (["--harmonic", "--n", "2039", "--rows", "0,2039"], "error: IndexOutOfRange: 2039 outside 0..2038\n"),
+])
+def test_construct_exact_leaves_malformed_arguments_to_the_builder(capsys, argv, message):
+    # Each shadow would hold more coefficients than the bound allows, but
+    # the arguments are refused first, with exit 2, as without --exact.
+    without = _run(capsys, ["construct", *argv])
+    code, doc, err = _run(capsys, ["construct", *argv, "--exact"])
+    assert _one_line_error(code, doc, err) and (code, doc, err) == without
+    assert err == message
+
+
 def test_capped_probe_warns_once_on_stderr(capsys, tmp_path):
     # P = 3^3 * 2^21 = 56,623,104 for a 3 x 20 matrix, above the default cap.
     entries = [(3 * i + 7 * j) % 11 - 5 for i in range(3) for j in range(20)]

@@ -1,8 +1,8 @@
 """The root-of-unity path of the block search and of the norm-bound proof.
 
 When every entry of a matrix is a root of unity w^t with denominator 1,
-the block search finds t for each distinct entry object by value
-(_root_exponents), and _images takes the images under every map
+the block search reads the table of those t (_root_exponents: recorded by
+dft_submatrix, else found by value once per matrix), and _images takes the images under every map
 w -> g^e as one gather, roots[k, t] = g^(e_k t) mod p (_root_images),
 for the search and for every prime of the proof.  Every other matrix
 goes through its power-basis coefficients, and _images on those
@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from sparkforge import cli, exact_arith, spark_engine
+from sparkforge import cli, exact_arith, exact_linalg, spark_engine
 from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi, root_power
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.spark_engine import (
@@ -251,6 +251,6 @@ def test_refuted_root_sweeps_build_no_power_basis_coefficients(order, rows, cols
 
     monkeypatch.setattr(spark_engine, "_integral_coeffs", _refuse)
     monkeypatch.setattr(spark_engine, "_images", images)
-    monkeypatch.setattr(spark_engine, "_root_table", root_table)
+    monkeypatch.setattr(exact_linalg, "_root_table", root_table)
     assert _certificates(a) == expected
     assert proofs and all(given[0] == "exponents" for given, _, _ in proofs)
