@@ -45,12 +45,9 @@ def _default_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if budget < 0:
-        raise UsageError(f"{BUDGET_ENV} must be non-negative, got {budget}")
-    return budget
+        return _count(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{BUDGET_ENV} {exc}") from None
 
 
 class UsageError(Exception):
@@ -59,38 +56,22 @@ class UsageError(Exception):
 
 def matrix_to_json(obj) -> dict:
     """Serialize an ExactMatrix or complex array as a matrix document."""
+    order = {}  # only a cyclotomic document names its order
     if isinstance(obj, ExactMatrix):
-        if obj.is_integer():
-            return {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "integer",
-                "rows": obj.rows,
-                "cols": obj.cols,
-                "entries": list(obj.entries),
-            }
-        entries = []
-        for e in obj.entries:
-            if e.den != 1:
+        kind, rows, cols, entries = "integer", obj.rows, obj.cols, list(obj.entries)
+        if not obj.is_integer():
+            if any(e.den != 1 for e in entries):
                 raise UsageError("cyclotomic matrix files cannot carry denominators")
-            entries.append(list(e.num.coeffs))
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "cyclotomic",
-            "rows": obj.rows,
-            "cols": obj.cols,
-            "order": obj.order,
-            "entries": entries,
-        }
-    from .constructions import _complex_matrix
+            kind, order = "cyclotomic", {"order": obj.order}
+            entries = [list(e.num.coeffs) for e in entries]
+    else:
+        from .constructions import _complex_matrix
 
-    arr = _complex_matrix(obj)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "complex_float",
-        "rows": int(arr.shape[0]),
-        "cols": int(arr.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in arr.reshape(-1)],
-    }
+        arr = _complex_matrix(obj)
+        (rows, cols), kind = map(int, arr.shape), "complex_float"
+        entries = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "rows": rows, "cols": cols,
+            **order, "entries": entries}
 
 
 def _json_int(value, what: str) -> int:
@@ -174,8 +155,24 @@ def _read_json(path: str):
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 
-# int() would also take "0_3", padding and non-ASCII digits.
+# The one rule for an integer on the command line, in an option, a list or
+# $SPARKFORGE_BUDGET: int() would also take "0_3", padding and non-ASCII digits.
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An option's integer; argparse names the option in the error."""
+    if not _INT_TOKEN.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return int(text)
+
+
+def _count(text: str) -> int:
+    """An option's non-negative integer."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -185,7 +182,9 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-def _rows_from_args(args) -> list[int]:
+def _index_set(order: int, args) -> dft_analysis.IndexSet:
+    """The rows of the given order, read once from the one row source."""
+    order = _order(order)
     qr = getattr(args, "rows_qr", False)  # construct alone has --rows-qr
     given = [flag for flag, on in (("--rows", args.rows is not None),
                                    ("--rows-file", args.rows_file is not None),
@@ -195,57 +194,56 @@ def _rows_from_args(args) -> list[int]:
     if qr:
         from .constructions import quadratic_residue_rows
 
-        return list(quadratic_residue_rows(args.n))
-    if args.rows_file:
-        if args.rows_file.endswith(".json"):
-            data = _read_json(args.rows_file)
-            if not isinstance(data, list):
-                raise UsageError("rows file must hold a JSON list")
-            return [_json_int(x, "row") for x in data]
+        return quadratic_residue_rows(order)
+    if args.rows_file and args.rows_file.endswith(".json"):
+        rows = _read_json(args.rows_file)
+        if not isinstance(rows, list):
+            raise UsageError("rows file must hold a JSON list")
+        rows = [_json_int(x, "row") for x in rows]
+    elif args.rows_file:
         with open(args.rows_file, "r", encoding="utf-8") as fh:
-            return _parse_int_list(fh.read())
-    if args.rows is not None:
-        return _parse_int_list(args.rows)
-    raise UsageError("need --rows or --rows-file")
+            rows = _parse_int_list(fh.read())
+    elif args.rows is not None:
+        rows = _parse_int_list(args.rows)
+    else:
+        raise UsageError("need --rows or --rows-file")
+    return dft_analysis.IndexSet.from_iterable(order, rows)
 
 
-def _index_set(order: int, args) -> dft_analysis.IndexSet:
-    return dft_analysis.IndexSet.from_iterable(_order(order), _rows_from_args(args))
+def _order_and_rows(args) -> tuple:
+    rows = _index_set(args.n, args)
+    return rows.order, rows
 
 
 def _load_matrix(args):
     return matrix_from_json(_read_json(args.matrix))
 
 
-# construct kind -> (options it needs, other options it reads, builder of
-# (constructions module, args), count of its exact shadow's coefficients
-# from args or None for a kind without one); each kind is also a flag, and
-# --exact goes with every kind.
+# construct kind -> (options it needs, other options it reads, its builder in
+# constructions, reader of the builder's arguments from args, count of its
+# exact shadow's coefficients from those arguments or None for a kind
+# without one); each kind is also a flag, and --exact goes with every kind.
+# The arguments are read once and feed both the count and the builder.
 _ROW_SOURCES = ("rows", "rows_file", "rows_qr")
 FRAMES = {
     "vandermonde": (
-        ("bases", "m"), (), lambda c, a: c.vandermonde(_parse_int_list(a.bases), a.m),
-        lambda a: _coefficients(a.m, len(_parse_int_list(a.bases)), 1),
+        ("bases", "m"), (), "vandermonde", lambda a: (_parse_int_list(a.bases), a.m),
+        lambda bases, m: _coefficients(m, len(bases), 1),
     ),
     "harmonic": (
-        ("n",), (*_ROW_SOURCES, "normalize"),
-        lambda c, a: c.harmonic(_order(a.n), _rows_from_args(a), normalize=a.normalize),
-        lambda a: _coefficients(len(_index_set(a.n, a)), a.n, a.n),
+        ("n",), (*_ROW_SOURCES, "normalize"), "harmonic",
+        lambda a: (*_order_and_rows(a), a.normalize),
+        lambda n, rows, _: _coefficients(len(rows), n, n),
     ),
     "harmonic-identity": (
-        ("n", "k"), _ROW_SOURCES,
-        lambda c, a: c.harmonic_identity(_order(a.n), _rows_from_args(a), a.k),
-        lambda a: (_coefficients(len(_index_set(a.n, a)), a.n + a.k, a.n, a.k)
-                   if is_prime(_order(a.n)) else 0),
+        ("n", "k"), _ROW_SOURCES, "harmonic_identity", lambda a: (*_order_and_rows(a), a.k),
+        lambda n, rows, k: _coefficients(len(rows), n + k, n, k) if is_prime(n) else 0,
     ),
     "optimal": (
-        ("n", "m"), ("normalize",),
-        lambda c, a: c.optimal_vandermonde(_order(a.n), a.m, normalize=a.normalize),
-        lambda a: _coefficients(a.m, _order(a.n), a.n),
+        ("n", "m"), ("normalize",), "optimal_vandermonde",
+        lambda a: (_order(a.n), a.m, a.normalize), lambda n, m, _: _coefficients(m, n, n),
     ),
-    "parseval": (
-        ("matrix",), (), lambda c, a: c.parseval_projection(_load_matrix(a)), None,
-    ),
+    "parseval": (("matrix",), (), "parseval_projection", lambda a: (_load_matrix(a),), None),
 }
 
 
@@ -266,7 +264,7 @@ def _cmd_construct(args):
     kinds = [kind for kind in FRAMES if getattr(args, kind.replace("-", "_"))]
     if len(kinds) != 1:
         raise UsageError("pick exactly one of " + " ".join(f"--{kind}" for kind in FRAMES))
-    needs, reads, build, coefficients = FRAMES[kinds[0]]
+    needs, reads, builder, read, coefficients = FRAMES[kinds[0]]
     if any(getattr(args, name) is None for name in needs):
         raise UsageError(f"--{kinds[0]} needs " + " and ".join(map(_flag, needs)))
     # An option the kind does not read would be ignored; None and False
@@ -276,15 +274,14 @@ def _cmd_construct(args):
               if name not in known and value is not None and value is not False]
     if unread:
         raise UsageError(f"--{kinds[0]} does not read " + " and ".join(map(_flag, unread)))
-    if args.exact:
-        if coefficients is None:
-            raise UsageError("this construction has no exact shadow")
-        coeffs = coefficients(args)
-        if coeffs > MAX_PRINTED_ENTRIES:
-            raise CapExceeded(f"exact matrix has {coeffs} coefficients, cap {MAX_PRINTED_ENTRIES}")
+    if args.exact and coefficients is None:
+        raise UsageError("this construction has no exact shadow")
+    inputs = read(args)
+    if args.exact and (coeffs := coefficients(*inputs)) > MAX_PRINTED_ENTRIES:
+        raise CapExceeded(f"exact matrix has {coeffs} coefficients, cap {MAX_PRINTED_ENTRIES}")
     from . import constructions
 
-    frame = build(constructions, args)
+    frame = getattr(constructions, builder)(*inputs)
     return matrix_to_json(frame.exact_shadow if args.exact else frame), 0
 
 
@@ -402,27 +399,16 @@ def _cmd_probe(args):
     return doc, 0 if result.exceeds_k else 1
 
 
-def _count(text: str) -> int:
-    """An option's non-negative integer; argparse names the option in the error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
 # Options shared by several subcommands, as (flag, add_argument keywords).
 _FLAG = {"action": "store_true"}
-_INT = {"type": int}
-_REQUIRED_INT = {"type": int, "required": True}
+_INT = {"type": _integer}
+_REQUIRED_INT = {"type": _integer, "required": True}
 _ROWS = [("--rows", {"help": "comma separated residues, e.g. 0,1,4"}),
          ("--rows-file", {"help": "file of residues (JSON list or separated)"})]
 _MATRIX_OR_DFT = [("--matrix", {"help": "matrix file (- for stdin)"}),
-                  ("--dft", {"type": int, "help": "build DFT rows of this order instead"}),
+                  ("--dft", {"type": _integer, "help": "build DFT rows of this order instead"}),
                   ("--cols", {"help": "column restriction for --dft"})]
-_TRIALS_SEED = [("--trials", {"type": int, "default": 10}), ("--seed", {"type": int, "default": 0})]
+_TRIALS_SEED = [("--trials", dict(_INT, default=10)), ("--seed", dict(_INT, default=0))]
 _BUDGET = ("--budget", {"type": _count,
                         "help": f"subset budget (default {DEFAULT_BUDGET}, or ${BUDGET_ENV})"})
 

@@ -9,6 +9,7 @@ coset-balance necessary condition for restricted isometry.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -52,14 +53,20 @@ class IndexSet:
 
     @staticmethod
     def _residues(order: int, members) -> tuple[int, ...]:
-        """members as a tuple, once each is an int in 0..order-1."""
+        """members as a tuple of ints, once each is an integer in
+        0..order-1; operator.index reads numpy integers and bool as ints."""
         if order < 1:
             raise BadModulus("order must be positive")
-        members = tuple(members)
+        residues = []
         for m in members:
-            if not isinstance(m, int) or not 0 <= m < order:
+            try:
+                r = operator.index(m)
+            except TypeError:
+                r = -1
+            if not 0 <= r < order:
                 raise IndexOutOfRange(f"{m} outside 0..{order - 1}")
-        return members
+            residues.append(r)
+        return tuple(residues)
 
     @classmethod
     def from_iterable(cls, order: int, members) -> "IndexSet":

@@ -71,6 +71,8 @@ def test_construct_optimal_complex_round_trip(capsys):
     code, doc, _ = _run(capsys, ["construct", "--optimal", "--n", "6", "--m", "3"])
     assert code == 0
     assert doc["kind"] == "complex_float"
+    # json.loads keeps the printed key order.
+    assert list(doc) == ["schema_version", "kind", "rows", "cols", "entries"]
     parsed = cli.matrix_from_json(doc)
     assert parsed.shape == (3, 6)
     # JSON carries exact binary64 values, so the round trip is bitwise.
@@ -647,8 +649,9 @@ def test_construct_refuses_an_option_its_kind_does_not_read(capsys, argv, unread
 
 
 @pytest.mark.parametrize("token", ["0_3", "٣", "３", "3.0", "0x3", "+-3", "3-"])
-def test_list_tokens_must_be_ascii_decimal_integers(capsys, tmp_path, token):
+def test_list_tokens_must_be_ascii_decimal_integers(capsys, tmp_path, monkeypatch, token):
     # int() reads "0_3" as 3 and "٣" (ARABIC-INDIC DIGIT THREE) as 3.
+    # List tokens, integer options and $SPARKFORGE_BUDGET follow one rule.
     for argv in (
         ["spark", "--dft", "7", "--rows", "0", "--cols", token],
         ["spark", "--dft", "7", "--rows", f"0,{token}"],
@@ -660,6 +663,25 @@ def test_list_tokens_must_be_ascii_decimal_integers(capsys, tmp_path, token):
     rows.write_text(f"0 {token}\n", encoding="utf-8")
     code, doc, err = _run(capsys, ["dft-analyze", "--n", "7", "--rows-file", str(rows)])
     assert _one_line_error(code, doc, err) and "expected integers" in err
+    matrix = _write_json(tmp_path / "int.json", {"schema_version": 1, "kind": "integer",
+                                                 "rows": 1, "cols": 2, "entries": [1, 2]})
+    for argv, flag in (
+        (["spark", "--rows", "0"], "--dft"),
+        (["spark", "--dft", "7", "--rows", "0,1"], "--budget"),
+        (["construct", "--harmonic", "--rows", "0"], "--n"),
+        (["construct", "--optimal", "--n", "7"], "--m"),
+        (["rip-check", "--n", "7", "--rows", "0", "--delta", "0.5"], "--k"),
+        (["orbit", "--n", "7", "--rows", "0"], "--cap"),
+        (["probe", "--matrix", matrix, "--k", "1"], "--p-cap"),
+        (["matroid-girth", "--method", "representation"], "--trials"),
+        (["matroid-girth", "--method", "representation"], "--seed"),
+    ):
+        code, doc, err = _run(capsys, [*argv, f"{flag}={token}"])
+        assert _one_line_error(code, doc, err), (flag, err)
+        assert f"argument {flag}: must be an integer, got {token!r}" in err, err
+    monkeypatch.setenv(cli.BUDGET_ENV, token)
+    code, doc, err = _run(capsys, ["spark", "--dft", "7", "--rows", "0,1"])
+    assert _one_line_error(code, doc, err) and f"{cli.BUDGET_ENV} must be an integer" in err
 
 
 def test_signed_list_tokens_are_read(capsys, tmp_path):
@@ -768,6 +790,48 @@ def test_construct_exact_leaves_malformed_arguments_to_the_builder(capsys, argv,
     code, doc, err = _run(capsys, ["construct", *argv, "--exact"])
     assert _one_line_error(code, doc, err) and (code, doc, err) == without
     assert err == message
+
+
+CONSTRUCT_ROWS = [["--harmonic"], ["--harmonic-identity", "--k", "1"]]
+
+
+@pytest.mark.parametrize("kind", CONSTRUCT_ROWS, ids=["harmonic", "harmonic-identity"])
+def test_construct_exact_takes_rows_piped_to_dev_stdin(kind):
+    # A pipe can be read once: a second reading of /dev/stdin finds it empty.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    env.pop(cli.BUDGET_ENV, None)
+
+    def construct(*rows, stdin=None):
+        return subprocess.run(
+            [sys.executable, "-m", "sparkforge.cli", "construct", *kind, "--n", "7", *rows,
+             "--exact"], input=stdin, capture_output=True, text=True, timeout=60, env=env)
+
+    piped = construct("--rows-file", "/dev/stdin", stdin="0,1,3\n")
+    given = construct("--rows", "0,1,3")
+    assert (piped.returncode, piped.stderr) == (0, ""), piped.stderr
+    assert given.returncode == 0 and piped.stdout == given.stdout
+
+
+@pytest.mark.parametrize("kind", CONSTRUCT_ROWS, ids=["harmonic", "harmonic-identity"])
+@pytest.mark.parametrize("name, text", [("rows.txt", "0,1,3"), ("rows.json", "[0, 1, 3]")],
+                         ids=["text", "json"])
+def test_construct_reads_its_row_source_once(capsys, monkeypatch, tmp_path, kind, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    for exact in ([], ["--exact"]):
+        opened.clear()
+        code, doc, _ = _run(capsys, ["construct", *kind, "--n", "7", "--rows-file", str(path),
+                                     *exact])
+        assert code == 0 and opened == [str(path)], (exact, opened)
 
 
 def test_capped_probe_warns_once_on_stderr(capsys, tmp_path):

@@ -81,6 +81,9 @@ CASES = {
     "construct_harmonic_exact": (
         ["construct", "--harmonic", "--n", "5", "--rows", "0,1,4", "--exact"], 0,
     ),
+    "construct_vandermonde_exact": (
+        ["construct", "--vandermonde", "--bases", "1,2,3", "--m", "2", "--exact"], 0,
+    ),
 }
 
 

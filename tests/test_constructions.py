@@ -109,7 +109,7 @@ def test_harmonic_index_validation():
     ([7, 7], IndexOutOfRange), ([0, 2, 2, 9], IndexOutOfRange),
     # Not integers, including values that neither sort nor hash with ints.
     ([1.5], IndexOutOfRange), ([1.0], IndexOutOfRange), ([0, "1"], IndexOutOfRange),
-    ([0, None], IndexOutOfRange), ([0, [0]], IndexOutOfRange), ([np.int64(1)], IndexOutOfRange),
+    ([0, None], IndexOutOfRange), ([0, [0]], IndexOutOfRange), ([np.float64(1)], IndexOutOfRange),
     # Duplicates.
     ([1, 1], ValueError), ([0, 1, 1], ValueError), ([True, 1], ValueError),
     # Another order's index set, and no rows.
@@ -120,6 +120,14 @@ def test_harmonic_rows_are_refused_by_the_index_set_rules(rows, error):
         with pytest.raises(error) as caught:
             build()
         assert type(caught.value) is error
+
+
+def test_harmonic_takes_numpy_integer_rows():
+    # Rows are read through operator.index, as dft_submatrix reads indices.
+    frame = harmonic(7, np.array([0, 1, 3]))
+    assert frame.provenance.params["rows"] == [0, 1, 3]
+    assert frame.exact_shadow == dft_submatrix(7, np.array([0, 1, 3]))
+    assert all(type(r) is int for r in frame.provenance.params["rows"])
 
 
 def test_shadow_consistency_across_builders():

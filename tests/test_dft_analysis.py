@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sparkforge import (
@@ -57,6 +58,19 @@ def test_index_set_validation():
         IndexSet.from_iterable(8, [0, 8])
     with pytest.raises(ValueError):
         IndexSet.from_iterable(8, [0, 0, 1])
+
+
+def test_index_set_reads_members_through_operator_index():
+    # numpy integers are read as ints, and True as the int 1.
+    m = IndexSet.from_iterable(7, np.array([3, 0, 1]))
+    assert m.members == (0, 1, 3) and all(type(r) is int for r in m)
+    m = IndexSet.from_iterable(5, [True, 3])
+    assert m.members == (1, 3) and type(m.members[0]) is int
+    assert IndexSet(5, (np.int64(0), True)).members == (0, 1)
+    # A member that is not an integer is out of range, as before.
+    for bad in (1.0, np.float64(1), "1", None, np.array([1])):
+        with pytest.raises(IndexOutOfRange):
+            IndexSet.from_iterable(5, [0, bad])
 
 
 def test_index_set_operations():
