@@ -35,8 +35,8 @@ BUDGET_ENV = "SPARKFORGE_BUDGET"
 # table: about 32 MiB at the prime 2039, growing as the square of the order.
 MAX_ORDER = 2048
 
-# Most row entries `orbit` prints, and most coefficients `construct --exact`
-# prints: 10^6, as for the adjacency entries of `clique-gadget`.
+# Most row entries `orbit` prints, and most entries of a `construct` document
+# (coefficients with --exact): 10^6, as for the adjacency entries of `clique-gadget`.
 MAX_PRINTED_ENTRIES = matroid.MAX_GADGET_ENTRIES
 
 
@@ -143,28 +143,39 @@ def matrix_from_json(doc: dict):
     raise UsageError(f"unknown matrix kind {kind!r}")
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
+    """The text of a file option; - is stdin."""
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        return json.loads(text)
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _read_json(path: str, text: str | None = None, what: str = "invalid JSON"):
+    try:  # the text, when given, is the file's, already read
+        return json.loads(_read_text(path) if text is None else text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise UsageError(f"invalid JSON in {path}: {exc}") from exc
+        raise UsageError(f"{what} in {path}: {exc}") from exc
 
 
-# The one rule for an integer on the command line, in an option, a list or
-# $SPARKFORGE_BUDGET: int() would also take "0_3", padding and non-ASCII digits.
+# The one rule for a number on the command line, an integer in an option, list
+# or $SPARKFORGE_BUDGET or a real in --tol and --delta: int() and float() would also
+# take "0_3", padding and non-ASCII digits.  nan and inf go on to the library.
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_REAL_TOKEN = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|infinity|nan)", re.I)
 
 
-def _integer(text: str) -> int:
-    """An option's integer; argparse names the option in the error."""
-    if not _INT_TOKEN.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
-    return int(text)
+def _number(token: re.Pattern, convert, what: str):
+    """An option's type: its text must match token; argparse names the option in the error."""
+    def read(text: str):
+        if not token.fullmatch(text):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return convert(text)
+    return read
+
+
+_integer = _number(_INT_TOKEN, int, "an integer")
+_real = _number(_REAL_TOKEN, float, "a decimal number")
 
 
 def _count(text: str) -> int:
@@ -195,14 +206,13 @@ def _index_set(order: int, args) -> dft_analysis.IndexSet:
         from .constructions import quadratic_residue_rows
 
         return quadratic_residue_rows(order)
-    if args.rows_file and args.rows_file.endswith(".json"):
-        rows = _read_json(args.rows_file)
-        if not isinstance(rows, list):
-            raise UsageError("rows file must hold a JSON list")
-        rows = [_json_int(x, "row") for x in rows]
-    elif args.rows_file:
-        with open(args.rows_file, "r", encoding="utf-8") as fh:
-            rows = _parse_int_list(fh.read())
+    if args.rows_file is not None:  # a JSON list if it opens with [, else separated integers
+        text = _read_text(args.rows_file)
+        if text.lstrip().startswith("["):
+            rows = _read_json(args.rows_file, text, "rows file must hold a JSON list; invalid JSON")
+            rows = [_json_int(x, "row") for x in rows]
+        else:
+            rows = _parse_int_list(text)
     elif args.rows is not None:
         rows = _parse_int_list(args.rows)
     else:
@@ -220,40 +230,39 @@ def _load_matrix(args):
 
 
 # construct kind -> (options it needs, other options it reads, its builder in
-# constructions, reader of the builder's arguments from args, count of its
-# exact shadow's coefficients from those arguments or None for a kind
-# without one); each kind is also a flag, and --exact goes with every kind.
-# The arguments are read once and feed both the count and the builder.
+# constructions, reader of the builder's arguments from args, _shape of its
+# document from those arguments); each kind is also a flag, and --exact goes
+# with every kind.  The arguments are read once, for the count and the builder.
 _ROW_SOURCES = ("rows", "rows_file", "rows_qr")
 FRAMES = {
     "vandermonde": (
         ("bases", "m"), (), "vandermonde", lambda a: (_parse_int_list(a.bases), a.m),
-        lambda bases, m: _coefficients(m, len(bases), 1),
+        lambda bases, m: _shape(m, len(bases), 1),
     ),
     "harmonic": (
         ("n",), (*_ROW_SOURCES, "normalize"), "harmonic",
         lambda a: (*_order_and_rows(a), a.normalize),
-        lambda n, rows, _: _coefficients(len(rows), n, n),
+        lambda n, rows, _: _shape(len(rows), n, n),
     ),
     "harmonic-identity": (
         ("n", "k"), _ROW_SOURCES, "harmonic_identity", lambda a: (*_order_and_rows(a), a.k),
-        lambda n, rows, k: _coefficients(len(rows), n + k, n, k) if is_prime(n) else 0,
+        lambda n, rows, k: _shape(len(rows), n + k, n, k) if is_prime(n) else (0, n),
     ),
     "optimal": (
         ("n", "m"), ("normalize",), "optimal_vandermonde",
-        lambda a: (_order(a.n), a.m, a.normalize), lambda n, m, _: _coefficients(m, n, n),
+        lambda a: (_order(a.n), a.m, a.normalize), lambda n, m, _: _shape(m, n, n),
     ),
-    "parseval": (("matrix",), (), "parseval_projection", lambda a: (_load_matrix(a),), None),
+    "parseval": (("matrix",), (), "parseval_projection", lambda a: (_load_matrix(a),),
+                 lambda f: _shape(*(getattr(f, "shape", None) or (f.rows, f.cols)), None)),
 }
 
 
-def _coefficients(rows: int, cols: int, order: int, spikes: int = 1) -> int:
-    """Power-basis coefficients of a rows x cols exact shadow of the given
-    order (an integer one has order 1, one per entry), counted before it is
-    built.  A shape its builder refuses (no rows, more rows than columns,
-    spikes outside 1..rows) counts 0, so that the builder's own error,
-    exit 2, comes first."""
-    return rows * cols * euler_phi(order) if 1 <= rows <= cols and 1 <= spikes <= rows else 0
+def _shape(rows: int, cols: int, order: int | None, spikes: int = 1) -> tuple[int, int | None]:
+    """Entries of a rows x cols document, counted before it is built, and the
+    order of its exact shadow (1 for an integer one, None for none).  A shape
+    its builder refuses (no rows, more rows than columns, spikes outside
+    1..rows) counts 0, so that the builder's own error, exit 2, comes first."""
+    return rows * cols if 1 <= rows <= cols and 1 <= spikes <= rows else 0, order
 
 
 def _flag(name: str) -> str:
@@ -264,7 +273,7 @@ def _cmd_construct(args):
     kinds = [kind for kind in FRAMES if getattr(args, kind.replace("-", "_"))]
     if len(kinds) != 1:
         raise UsageError("pick exactly one of " + " ".join(f"--{kind}" for kind in FRAMES))
-    needs, reads, builder, read, coefficients = FRAMES[kinds[0]]
+    needs, reads, builder, read, shape = FRAMES[kinds[0]]
     if any(getattr(args, name) is None for name in needs):
         raise UsageError(f"--{kinds[0]} needs " + " and ".join(map(_flag, needs)))
     # An option the kind does not read would be ignored; None and False
@@ -274,11 +283,13 @@ def _cmd_construct(args):
               if name not in known and value is not None and value is not False]
     if unread:
         raise UsageError(f"--{kinds[0]} does not read " + " and ".join(map(_flag, unread)))
-    if args.exact and coefficients is None:
-        raise UsageError("this construction has no exact shadow")
     inputs = read(args)
-    if args.exact and (coeffs := coefficients(*inputs)) > MAX_PRINTED_ENTRIES:
-        raise CapExceeded(f"exact matrix has {coeffs} coefficients, cap {MAX_PRINTED_ENTRIES}")
+    entries, order = shape(*inputs)
+    if args.exact and order is None:
+        raise UsageError("this construction has no exact shadow")
+    if (count := entries * euler_phi(order) if args.exact else entries) > MAX_PRINTED_ENTRIES:
+        what = "exact matrix has {} coefficients" if args.exact else "matrix has {} entries"
+        raise CapExceeded(f"{what.format(count)}, cap {MAX_PRINTED_ENTRIES}")
     from . import constructions
 
     frame = getattr(constructions, builder)(*inputs)
@@ -404,7 +415,7 @@ _FLAG = {"action": "store_true"}
 _INT = {"type": _integer}
 _REQUIRED_INT = {"type": _integer, "required": True}
 _ROWS = [("--rows", {"help": "comma separated residues, e.g. 0,1,4"}),
-         ("--rows-file", {"help": "file of residues (JSON list or separated)"})]
+         ("--rows-file", {"help": "file of residues, JSON list or separated (- for stdin)"})]
 _MATRIX_OR_DFT = [("--matrix", {"help": "matrix file (- for stdin)"}),
                   ("--dft", {"type": _integer, "help": "build DFT rows of this order instead"}),
                   ("--cols", {"help": "column restriction for --dft"})]
@@ -427,7 +438,7 @@ COMMANDS = {
     ]),
     "spark": ("spark certificate of a matrix", _cmd_spark, [
         *_MATRIX_OR_DFT,
-        ("--tol", {"type": float, "default": 1e-10, "help": "numeric rank threshold"}),
+        ("--tol", {"type": _real, "default": 1e-10, "help": "numeric rank threshold"}),
         *_ROWS, _BUDGET,
     ]),
     "full-spark": ("certify every maximal minor invertible", _cmd_full_spark, [
@@ -442,7 +453,7 @@ COMMANDS = {
     ]),
     "rip-check": ("coset balance necessary condition", _cmd_rip_check, [
         ("--n", _REQUIRED_INT), ("--k", _REQUIRED_INT),
-        ("--delta", {"type": float, "required": True}), *_ROWS,
+        ("--delta", {"type": _real, "required": True}), *_ROWS,
     ]),
     "coherence": ("worst column pair correlation", _cmd_coherence, [
         ("--matrix", {"default": "-", "help": "matrix file (default stdin)"}),

@@ -139,6 +139,9 @@ def vandermonde(bases, m: int) -> Frame:
     base_kind = "complex"
     if all(isinstance(b, (int, bool)) for b in bases):
         base_kind = "integer"
+        top = max(abs(b) for b in bases)  # top^(m-1), the largest entry, must be a float
+        if (m - 1) * (top.bit_length() - 1) >= 1024 or top ** (m - 1) >= 2**1024 - 2**970:
+            raise NonFiniteEntry(f"an integer base to the power {m - 1} leaves float range")
         shadow = ExactMatrix.from_rows([[b**i for b in bases] for i in range(m)])
     elif all(isinstance(b, CycInt) for b in bases):
         orders = {b.order for b in bases}

@@ -68,19 +68,23 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
     if n < 1:
         raise ValueError("divisors requires a positive integer")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    powers = [[q**k for k in range(e + 1)] for q, e in _factorize(n).items()]
+    return sorted(map(math.prod, itertools.product(*powers)))
+
+
+# Miller-Rabin on the 13 primes 2..41 is exact below _MILLER_RABIN_BOUND
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    return n > 1 and _factorize(n) == {n: 1}
+    """Exact for every n: Miller-Rabin below the bound, trial division above."""
+    if n <= 41 or n >= _MILLER_RABIN_BOUND:  # up to 41, n is prime if it is a base
+        return n in _MILLER_RABIN_BASES or n > 41 and _factorize(n) == {n: 1}
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    xs = (pow(a, (n - 1) >> s, n) for a in _MILLER_RABIN_BASES)
+    return all(x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s)) for x in xs)
 
 
 def is_prime_power(n: int) -> bool:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .constructions import _complex_matrix, _unit_scaled
 from .errors import CapExceeded, ShapeError
-from .exact_arith import _units, divisors, euler_phi
+from .exact_arith import _factorize, _units, euler_phi, is_prime
 from .exact_linalg import ExactMatrix, _integral_rows
 from .exact_linalg import det_exact, rank_exact  # noqa: F401 (bench/run.py --trace 1 wraps them)
 from .sweep import DEFAULT_BUDGET, _first_dependent
@@ -183,20 +183,6 @@ _FIRST_BLOCK = 32
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _is_prime_below_2_31(n: int) -> bool:
-    """Deterministic Miller-Rabin on bases 2, 3, 5, 7 for n in (2^30, 2^31).
-
-    The bases make it exact for every n > 7 below 3.2e9, so the one step
-    _root_images may take past 2^31 before it stops is still decided right.
-    """
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    for base in (2, 3, 5, 7):
-        x = pow(base, (n - 1) >> s, n)
-        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
-            return False
-    return True
-
-
 @functools.lru_cache(maxsize=16)
 def _root_images(order: int, index: int) -> tuple[int, np.ndarray]:
     """(p, roots) for the index-th prime p = 1 (mod order) above 2^30.
@@ -206,19 +192,15 @@ def _root_images(order: int, index: int) -> tuple[int, np.ndarray]:
     image of every power w^t under the ring map Z[w] -> F_p sending w to
     g^(e_k), and these are all phi(order) such maps.
     """
-    if index:
-        p = _root_images(order, index - 1)[0] + order
-    else:
-        p = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order
-    while not _is_prime_below_2_31(p):
+    first = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order  # the least p = 1 (mod order) above 2^30
+    p = _root_images(order, index - 1)[0] + order if index else first
+    while not is_prime(p):
         p += order
     if p >= 1 << 31:
         raise ValueError(f"fewer than {index + 1} primes = 1 (mod {order}) in (2^30, 2^31)")
-    g = next(
-        g
-        for g in (pow(h, (p - 1) // order, p) for h in itertools.count(2))
-        if all(pow(g, d, p) != 1 for d in divisors(order)[:-1])
-    )
+    # g^order = 1, and g is primitive once g^(order/q) != 1 for every prime q dividing order.
+    g = next(g for g in (pow(h, (p - 1) // order, p) for h in itertools.count(2))
+             if all(pow(g, order // q, p) != 1 for q in _factorize(order)))
     powers = [1]
     for _ in range(order - 1):
         powers.append(powers[-1] * g % p)

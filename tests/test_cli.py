@@ -525,6 +525,14 @@ def test_non_finite_or_negative_delta_and_tol_exit_two(capsys, tmp_path):
         assert _one_line_error(code, doc, err) and "tol must be finite" in err, (value, err)
     code, doc, _ = _run(capsys, ["spark", "--matrix", frame, "--tol", "0"])
     assert code == 0 and doc["mode"] == "numeric"
+    # --tol and --delta take ASCII decimals only: float() would read each of these.
+    for value in ("0_5", "٥", "５", " 0.5"):
+        for argv, flag in ((rip, "--delta"), (["spark", "--matrix", frame], "--tol")):
+            code, doc, err = _run(capsys, [*argv, f"{flag}={value}"])
+            assert _one_line_error(code, doc, err), (value, err)
+            assert f"argument {flag}: must be a decimal number, got {value!r}" in err, err
+    for value in (".5", "5e-1", "+0.50", "5.E-1"):
+        assert _run(capsys, rip + ["--delta", value])[0] in (0, 1), value
 
 
 def test_negative_budget_and_caps_exit_two(capsys, tmp_path, monkeypatch):
@@ -728,12 +736,13 @@ def test_construct_exact_past_the_coefficient_bound_exits_three(capsys):
                                    "--rows", ",".join(map(str, range(31))), "--exact"])
     assert code == 3 and doc is None
     assert err == f"error: exact matrix has 1015808 coefficients, cap {cli.MAX_PRINTED_ENTRIES}\n"
-    # Without --exact nothing is counted: the float matrix prints as before.
-    code, doc, _ = _run(capsys, ["construct", "--harmonic", "--n", "256", "--rows", "0"])
+    # Without --exact each entry counts once: 31 * 256 float entries print.
+    code, doc, _ = _run(capsys, ["construct", "--harmonic", "--n", "256",
+                                 "--rows", ",".join(map(str, range(31)))])
     assert code == 0 and doc["kind"] == "complex_float"
 
 
-def test_construct_exact_bound_is_inclusive(capsys, monkeypatch):
+def test_construct_exact_bound_is_inclusive(capsys, monkeypatch, tmp_path):
     # The benchmark's exact construct, 3 rows of the order-7 DFT, holds
     # 3 * 7 * 6 = 126 coefficients and prints the shadow's matrix file.
     monkeypatch.setattr(cli, "MAX_PRINTED_ENTRIES", 126)
@@ -748,8 +757,16 @@ def test_construct_exact_bound_is_inclusive(capsys, monkeypatch):
                    "--m", "7"]
     code, doc, err = _run(capsys, [*vandermonde, "--exact"])
     assert code == 3 and doc is None and err == "error: exact matrix has 140 coefficients, cap 126\n"
-    code, doc, _ = _run(capsys, vandermonde)
-    assert code == 0 and doc["kind"] == "complex_float"
+    # A float document counts its entries: 7 x 20 is past the bound, 7 x 18 on it.
+    code, doc, err = _run(capsys, vandermonde)
+    assert code == 3 and doc is None and err == "error: matrix has 140 entries, cap 126\n"
+    code, doc, _ = _run(capsys, [*vandermonde[:3], ",".join(map(str, range(1, 19))), "--m", "7"])
+    assert code == 0 and doc["kind"] == "complex_float" and len(doc["entries"]) == 126
+    for cols, code in ((126, 0), (127, 3)):  # --parseval prints the shape it reads
+        matrix = _write_json(tmp_path / "wide.json", {
+            "schema_version": 1, "kind": "integer", "rows": 1, "cols": cols,
+            "entries": list(range(1, cols + 1))})
+        assert _run(capsys, ["construct", "--parseval", "--matrix", matrix])[0] == code
 
 
 def _refuse_to_build(*args, **kwargs):
@@ -771,6 +788,26 @@ def test_construct_exact_is_refused_before_the_build(capsys, monkeypatch, builde
     code, doc, err = _run(capsys, ["construct", *argv, "--exact"])
     assert code == 3 and doc is None
     assert err == f"error: exact matrix has {coeffs} coefficients, cap {cli.MAX_PRINTED_ENTRIES}\n"
+
+
+@pytest.mark.parametrize("builder, argv, entries", [
+    ("harmonic", ["--harmonic", "--n", "2048", "--rows", ",".join(map(str, range(600)))],
+     1_228_800),
+    ("vandermonde", ["--vandermonde", "--bases", ",".join(map(str, range(1, 1201))),
+                     "--m", "1200"], 1_440_000),
+])
+def test_construct_float_is_refused_before_the_build(capsys, monkeypatch, builder, argv, entries):
+    monkeypatch.setattr(constructions, builder, _refuse_to_build)
+    code, doc, err = _run(capsys, ["construct", *argv])
+    assert code == 3 and doc is None
+    assert err == f"error: matrix has {entries} entries, cap {cli.MAX_PRINTED_ENTRIES}\n"
+
+
+def test_construct_vandermonde_on_the_bound_refuses_its_overflow_at_once(capsys):
+    # 1000 x 1000 entries are allowed, but 1000^999 leaves float range.
+    code, doc, err = _run(capsys, ["construct", "--vandermonde", "--m", "1000",
+                                   "--bases", ",".join(map(str, range(1, 1001)))])
+    assert _one_line_error(code, doc, err) and err.startswith("error: NonFiniteEntry: ")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -795,23 +832,43 @@ def test_construct_exact_leaves_malformed_arguments_to_the_builder(capsys, argv,
 CONSTRUCT_ROWS = [["--harmonic"], ["--harmonic-identity", "--k", "1"]]
 
 
-@pytest.mark.parametrize("kind", CONSTRUCT_ROWS, ids=["harmonic", "harmonic-identity"])
-def test_construct_exact_takes_rows_piped_to_dev_stdin(kind):
-    # A pipe can be read once: a second reading of /dev/stdin finds it empty.
+def _cli_process(argv, stdin=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
     env.pop(cli.BUDGET_ENV, None)
+    return subprocess.run([sys.executable, "-m", "sparkforge.cli", *argv], input=stdin,
+                          capture_output=True, text=True, timeout=60, env=env)
 
-    def construct(*rows, stdin=None):
-        return subprocess.run(
-            [sys.executable, "-m", "sparkforge.cli", "construct", *kind, "--n", "7", *rows,
-             "--exact"], input=stdin, capture_output=True, text=True, timeout=60, env=env)
 
-    piped = construct("--rows-file", "/dev/stdin", stdin="0,1,3\n")
-    given = construct("--rows", "0,1,3")
+@pytest.mark.parametrize("kind", CONSTRUCT_ROWS, ids=["harmonic", "harmonic-identity"])
+def test_construct_exact_takes_rows_piped_to_dev_stdin(kind):
+    # A pipe can be read once: a second reading of /dev/stdin finds it empty.
+    construct = ["construct", *kind, "--n", "7", "--exact"]
+    piped = _cli_process([*construct, "--rows-file", "/dev/stdin"], stdin="0,1,3\n")
+    given = _cli_process([*construct, "--rows", "0,1,3"])
     assert (piped.returncode, piped.stderr) == (0, ""), piped.stderr
     assert given.returncode == 0 and piped.stdout == given.stdout
+
+
+@pytest.mark.parametrize("path", ["/dev/stdin", "-"])
+@pytest.mark.parametrize("text", ["[0, 1, 3]\n", " 0,1 3"], ids=["json", "separated"])
+def test_rows_files_are_read_by_their_content_from_any_path(path, text):
+    # A text is a JSON list when it opens with [, whatever the file is called.
+    piped = _cli_process(["dft-analyze", "--n", "7", "--rows-file", path], stdin=text)
+    given = _cli_process(["dft-analyze", "--n", "7", "--rows", "0,1,3"])
+    assert (piped.returncode, piped.stderr) == (0, ""), piped.stderr
+    assert given.returncode == 0 and piped.stdout == given.stdout
+
+
+def test_a_json_named_rows_file_of_separated_integers_is_read(capsys, tmp_path):
+    rows = tmp_path / "rows.json"
+    rows.write_text("0 1 3\n", encoding="utf-8")
+    given = _run(capsys, ["dft-analyze", "--n", "7", "--rows", "0,1,3"])
+    assert given[0] == 0 and _run(capsys, ["dft-analyze", "--n", "7", "--rows-file", str(rows)]) == given
+    rows.write_text("[0, 1", encoding="utf-8")
+    code, doc, err = _run(capsys, ["dft-analyze", "--n", "7", "--rows-file", str(rows)])
+    assert _one_line_error(code, doc, err) and "rows file must hold a JSON list" in err
 
 
 @pytest.mark.parametrize("kind", CONSTRUCT_ROWS, ids=["harmonic", "harmonic-identity"])

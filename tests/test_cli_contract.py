@@ -158,12 +158,15 @@ def test_malformed_graph_files_exit_two(data):
     _assert_usage_error(json.dumps(data.draw(malformed_graphs(base))), argv)
 
 
-BAD_TOKENS = st.sampled_from(["a", "1.5", "[0]", "true", "--", "0x1", "1e3", "{}", "None"])
+# A rows text that opens with [ is read as JSON, so "[0" is the bracketed
+# token: malformed JSON first, and a malformed integer after another token.
+BAD_TOKENS = st.sampled_from(["a", "1.5", "[0", "true", "--", "0x1", "1e3", "{}", "None"])
 
 
 @SETTINGS
 @hypothesis.given(
-    doc=JUNK.filter(lambda v: not _rows_ok(v)),
+    # Any other text is separated integers: a bare JSON integer is one row.
+    doc=JUNK.filter(lambda v: not _rows_ok(v if isinstance(v, list) else [v])),
     tokens=st.lists(st.integers(0, 6).map(str) | BAD_TOKENS, max_size=4),
     bad=BAD_TOKENS,
     separator=st.sampled_from([" ", ",", "\n"]),

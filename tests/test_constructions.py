@@ -23,6 +23,7 @@ from sparkforge import (
 )
 from sparkforge.dft_analysis import IndexSet
 from sparkforge.exact_arith import root_power
+from sparkforge.exact_linalg import ExactMatrix
 from sparkforge.errors import (
     BadModulus,
     EmptyBases,
@@ -77,6 +78,20 @@ def test_vandermonde_float_powers_past_the_float_maximum_raise_non_finite_entry(
     for bases in ([1e200, 2.0, 3.0], [2.0, 1e200j, 3.0], [complex(1e200, 1e200), 2.0, 3.0]):
         with pytest.raises(NonFiniteEntry):
             vandermonde(bases, 3)
+
+
+def test_vandermonde_integer_powers_past_the_float_maximum_raise_before_the_shadow(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("the shadow was built")
+
+    monkeypatch.setattr(ExactMatrix, "from_rows", staticmethod(refuse))
+    # 1000^999 and 2^1024 leave float range by bit length, 3^647 by value.
+    for bases, m in ((range(1, 1001), 1000), ([2] * 1025, 1025), ([-3] + [1] * 647, 648)):
+        with pytest.raises(NonFiniteEntry):
+            vandermonde(bases, m)
+    for bases, m in (([2] * 1024, 1024), ([-3] + [1] * 646, 647), ([10**400, 1], 1)):
+        with pytest.raises(AssertionError, match="the shadow was built"):
+            vandermonde(bases, m)
 
 
 def test_harmonic_rows_0_2_of_order_4():

@@ -258,6 +258,29 @@ def test_number_theory_helpers():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
+# Strong pseudoprimes to the bases 2..7, 2..23 and 2..37: only the later
+# bases refute them.
+STRONG_PSEUDOPRIMES = [3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461]
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [is_prime(n) for n in range(-2, 20_001)] == [sympy.isprime(n) for n in range(-2, 20_001)]
+    for n in STRONG_PSEUDOPRIMES:
+        assert not sympy.isprime(n) and not is_prime(n)
+    # Past the Miller-Rabin bound trial division decides: 10^25 = 2^25 5^25.
+    assert not is_prime(10**25)
+    assert is_prime(2**31 - 1) and is_prime(10**14 + 31) and not is_prime((2**31 - 1) ** 2)
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 3_001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    assert divisors(10**12) == sorted(2**i * 5**j for i in range(13) for j in range(13))
+    with pytest.raises(ValueError):
+        divisors(0)
+
+
 def test_units_are_ascending_and_number_phi():
     # Map 0 of each prime and the identity-first affine masks rely on the order.
     assert _units(1) == [1] and _units(2) == [1] and _units(12) == [1, 5, 7, 11]

@@ -17,7 +17,7 @@ import math
 import pytest
 
 from sparkforge import spark_engine
-from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi, root_power
+from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi, is_prime, root_power
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.spark_engine import _root_images, is_full_spark, spark
 
@@ -46,13 +46,13 @@ def _primes_seen(monkeypatch):
 @pytest.mark.parametrize("start", [(1 << 30) + 1, (1 << 31) - 20_001])
 def test_primality_check_matches_sympy_near_the_ends_of_its_range(start):
     for n in range(start, start + 20_000, 2):
-        assert spark_engine._is_prime_below_2_31(n) == sympy.isprime(n), n
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 @pytest.mark.parametrize("n", [1104194521, 1121176981, 1157839381])
 def test_primality_check_refuses_strong_pseudoprimes(n):
     # Composites p (2p - 1) that pass base 2; the last passes 2, 3 and 5.
-    assert not sympy.isprime(n) and not spark_engine._is_prime_below_2_31(n)
+    assert not sympy.isprime(n) and not is_prime(n)
 
 
 @pytest.mark.parametrize("order", [1, 12, 1009])
@@ -63,10 +63,38 @@ def test_root_image_primes_are_the_first_primes_of_the_walk(order):
     primes = []
     while len(primes) < 3:
         n = next(walk)
-        assert spark_engine._is_prime_below_2_31(n) == sympy.isprime(n), n
+        assert is_prime(n) == sympy.isprime(n), n
         if sympy.isprime(n):
             primes.append(n)
     assert [_root_images(order, i)[0] for i in range(3)] == primes
+
+
+def _prime_and_root_by_proper_divisors(order, index):
+    """The search _root_images ran before it read the prime factors of the
+    order: Miller-Rabin on bases 2, 3, 5 and 7, exact below 3.2e9, and a
+    root g with g^d != 1 for every proper divisor d of the order."""
+    def is_prime_below_3e9(n):
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        for base in (2, 3, 5, 7):
+            x = pow(base, (n - 1) >> s, n)
+            if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+                return False
+        return True
+
+    floor = spark_engine._PRIME_FLOOR
+    primes = filter(is_prime_below_3e9, itertools.count(floor + 1 + (-floor) % order, order))
+    p = next(itertools.islice(primes, index, None))
+    proper = [d for d in range(1, order) if order % d == 0]
+    return p, next(g for g in (pow(h, (p - 1) // order, p) for h in itertools.count(2))
+                   if all(pow(g, d, p) != 1 for d in proper))
+
+
+@pytest.mark.parametrize("orders", [range(1, 301), [509, 1009, 1024, 2039, 2048]])
+def test_root_images_take_the_prime_and_root_of_the_proper_divisor_search(orders):
+    for order in orders:
+        for index in range(3):
+            p, roots = _root_images(order, index)
+            assert (p, int(roots[0, 1 % order])) == _prime_and_root_by_proper_divisors(order, index)
 
 
 def test_product_of_two_primes_takes_a_third(monkeypatch):
