@@ -188,8 +188,9 @@ def _count(text: str) -> int:
 
 def _parse_int_list(text: str) -> list[int]:
     tokens = text.replace(",", " ").split()
-    if not all(map(_INT_TOKEN.fullmatch, tokens)):
-        raise UsageError(f"expected integers, got {text!r}")
+    for token in tokens:
+        if not _INT_TOKEN.fullmatch(token):
+            raise UsageError(f"expected integers, got {token!r}")
     return [int(tok) for tok in tokens]
 
 

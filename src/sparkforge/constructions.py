@@ -301,7 +301,9 @@ def coherence(f) -> CoherenceResult:
     """Largest absolute inner product between distinct normalized columns.
 
     Ties resolve to the lexicographically smallest column pair.  Columns
-    are scaled by powers of two first, so their norms cannot overflow.
+    are scaled by powers of two first, so their norms cannot overflow.  The
+    Gram matrix is read past its diagonal in row blocks of about 2^20
+    entries: one block, the whole matrix, up to 1,024 columns.
     """
     arr = _unit_scaled(_complex_matrix(f, min_shape=(0, 2)), axis=0)
     norms = np.linalg.norm(arr, axis=0)
@@ -309,11 +311,13 @@ def coherence(f) -> CoherenceResult:
     if zero_cols.size:
         raise ZeroColumn(f"column {int(zero_cols[0])} is zero")
     unit = arr / norms[None, :]
-    gram = np.abs(unit.conj().T @ unit)
-    i_idx, j_idx = np.triu_indices(arr.shape[1], 1)
-    vals = gram[i_idx, j_idx]
-    best = int(np.argmax(vals))
-    return CoherenceResult(mu=float(vals[best]), pair=(int(i_idx[best]), int(j_idx[best])))
+    n, best = unit.shape[1], CoherenceResult(mu=0.0, pair=(0, 1))
+    for i in range(0, n - 1, step := max(1, (1 << 20) // n)):
+        block = np.triu(np.abs(unit[:, i : i + step].conj().T @ unit), i + 1)  # pairs (i + r, c)
+        r, c = divmod(int(np.argmax(block)), n)
+        if block[r, c] > best.mu:  # strictly: the first of tying pairs, (0, 1) at 0 to begin, stays
+            best = CoherenceResult(mu=float(block[r, c]), pair=(i + r, c))
+    return best
 
 
 def welch_bound_sq(m: int, n: int) -> float:

@@ -80,8 +80,10 @@ _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 def is_prime(n: int) -> bool:
     """Exact for every n: Miller-Rabin below the bound, trial division above."""
-    if n <= 41 or n >= _MILLER_RABIN_BOUND:  # up to 41, n is prime if it is a base
-        return n in _MILLER_RABIN_BASES or n > 41 and _factorize(n) == {n: 1}
+    if n <= 41:  # n is prime if it is a base
+        return n in _MILLER_RABIN_BASES
+    if n >= _MILLER_RABIN_BOUND:  # trial division, which stops at the first divisor
+        return all(n % d for d in range(2, math.isqrt(n) + 1))
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     xs = (pow(a, (n - 1) >> s, n) for a in _MILLER_RABIN_BASES)
     return all(x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s)) for x in xs)

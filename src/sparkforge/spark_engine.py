@@ -8,13 +8,14 @@ check and the numeric probe run the one subset sweep, sweep._first_dependent.
 
 The numeric probe and Hall girth test one subset at a time.  spark and
 the full-spark check search in blocks mod p: the matrix is mapped to F_p,
-p = 1 (mod N) a prime above 2^30, under the first of the phi(N) ring maps
-Z[w] -> F_p, its rows are mixed once by a fixed seeded matrix R, and a
-block is eliminated with numpy without row exchanges.  The matrix is one
-column-major array, the exponent table of a matrix of roots of unity w^t
-(a DFT submatrix, say) or else the power-basis coefficients, and one
-function, _images, maps it for the search and for every prime of the
-proof below, by one gather or by one modular product.  A subset whose
+p = 1 (mod N) a prime in (2^25, 2^26), so that all arithmetic mod p is
+exact in int64, under the first of the phi(N) ring maps Z[w] -> F_p, its
+rows are mixed once by a fixed seeded matrix R, and a block is eliminated
+with numpy without row exchanges.  The matrix is one column-major array,
+the exponent table of a matrix of roots of unity w^t (a DFT submatrix,
+say) or else the power-basis coefficients, and one function, _images,
+maps it for the search and for every prime of the proof below, by one
+gather or by one modular product.  A subset whose
 k x k image R_k A_S has a nonzero last pivot is independent, whatever R
 is: rank (R_k A_S) <= rank A_S.  A dependent subset is deficient under
 every map, so the one map flags it; a random R makes a flag rare for
@@ -170,34 +171,38 @@ def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
     )
 
 
-# Subsets are decided modulo primes p = 1 (mod N) above 2^30, so every
-# residue, of an image or of the row mixing, stays below 2^31, and each
-# fraction-free update r = pk*x - a*y has |r| < 2^62 in int64.  The block
-# kernel reduces r by r - (r // p)*p: the floor quotient times p lies in
-# (r - p, r], so it too stays below 2^62 + 2^31 < 2^63 in absolute value,
-# and the result is the residue in [0, p).  Blocks of stacked subsets start
-# small, so that early refutations stay cheap, and double up to about
-# _BLOCK_ENTRIES int64 entries.
-_PRIME_FLOOR = 1 << 30
+# Subsets are decided modulo primes p = 1 (mod N) in (_PRIME_FLOOR,
+# 2 _PRIME_FLOOR), so every residue, of an image, a root or the row mixing,
+# is below 2^26 and a product of two is below 2^52: one bound for all int64
+# arithmetic mod p.  _mulmod sums at most _MAX_TERMS products and the residue
+# carried over, (2^26 - 1)^2 (2^11 - 1) + 2^26 < 2^63; phi(N) <= 2038 <
+# _MAX_TERMS at every order up to 2048, so a coefficient image is one run.
+# An elimination update r = a*x - b*y (_last_pivot_vanishes, _vanishing_mod_p)
+# has |r| < 2^52, and r - (r // p)*p is its residue in [0, p).  Blocks of
+# stacked subsets start small, so that early refutations stay cheap, and
+# double up to about _BLOCK_ENTRIES int64 entries.
+_PRIME_FLOOR = 1 << 25
+_MAX_TERMS = (1 << 11) - 1
 _FIRST_BLOCK = 32
 _BLOCK_ENTRIES = 1 << 16
 
 
 @functools.lru_cache(maxsize=16)
 def _root_images(order: int, index: int) -> tuple[int, np.ndarray]:
-    """(p, roots) for the index-th prime p = 1 (mod order) above 2^30.
+    """(p, roots) for the index-th prime p = 1 (mod order) above _PRIME_FLOOR.
 
     roots[k, t] = g^(e_k t) mod p for t in 0..order-1, over the units e_k
     mod order, g a primitive order-th root of unity mod p: row k is the
     image of every power w^t under the ring map Z[w] -> F_p sending w to
     g^(e_k), and these are all phi(order) such maps.
     """
-    first = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order  # the least p = 1 (mod order) above 2^30
+    first = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order  # the least p = 1 (mod order) above it
     p = _root_images(order, index - 1)[0] + order if index else first
     while not is_prime(p):
         p += order
-    if p >= 1 << 31:
-        raise ValueError(f"fewer than {index + 1} primes = 1 (mod {order}) in (2^30, 2^31)")
+    if p >= 2 * _PRIME_FLOOR:
+        e = _PRIME_FLOOR.bit_length() - 1
+        raise ValueError(f"fewer than {index + 1} primes = 1 (mod {order}) in (2^{e}, 2^{e + 1})")
     # g^order = 1, and g is primitive once g^(order/q) != 1 for every prime q dividing order.
     g = next(g for g in (pow(h, (p - 1) // order, p) for h in itertools.count(2))
              if all(pow(g, order // q, p) != 1 for q in _factorize(order)))
@@ -224,25 +229,12 @@ def _integral_coeffs(a: ExactMatrix) -> np.ndarray:
     return coeffs.swapaxes(0, 1)
 
 
-# _mulmod splits each residue of its right factor (below 2^31) into 16-bit
-# limbs and multiplies the limbs in int64, over runs of fewer than 2^16
-# terms.  A product stays below 2^47 - 2^31, so a run's low sum is below
-# 2^63 - 2^48 + 2^31.  Its reduced high sum shifted back is below 2^47, and
-# the residue carried from the runs before is below 2^31, so all three add
-# to less than 2^47 + (2^63 - 2^48 + 2^31) + 2^31 < 2^63.
-_LIMB_BITS = 16
-_MAX_TERMS = (1 << _LIMB_BITS) - 1
-
-
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, exact in int64 for residues a and b mod p < 2^31 and any
-    number of terms: runs of _MAX_TERMS rows of b, reduced between runs."""
+    """a @ b mod p, exact in int64 for residues a and b mod p (see
+    _PRIME_FLOOR) and any number of terms: runs of _MAX_TERMS rows of b,
+    reduced between runs."""
     for s in range(0, b.shape[0] or 1, _MAX_TERMS):
-        a_run, b_run = a[..., s : s + _MAX_TERMS], b[s : s + _MAX_TERMS]
-        run = a_run @ (b_run >> _LIMB_BITS)
-        run %= p
-        run <<= _LIMB_BITS
-        run += a_run @ (b_run & ((1 << _LIMB_BITS) - 1))
+        run = a[..., s : s + _MAX_TERMS] @ b[s : s + _MAX_TERMS]
         if s:
             run += out
         out = np.remainder(run, p, out=run)

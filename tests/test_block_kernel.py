@@ -4,9 +4,10 @@ The block search stacks each subset's k x k image as stack[:, :, s] of a
 (k, k, subsets) array, and the kernel eliminates it without row exchanges,
 reducing each step by floor division.  On seeded stacks with uniform
 entries, entries of 0 and p - 1 only, and planted deficient matrices, under
-the first prime of orders 1 and 2048: every matrix of rank below k is
-flagged, and a flagged matrix of rank k has a vanishing leading minor of
-size k - 2 or less, both decided by _vanishing_mod_p.  The reduction
+the engine's first prime of orders 1 and 2048, and under the first such
+primes above 2^30: every matrix of rank below k is flagged, and a flagged
+matrix of rank k has a vanishing leading minor of size k - 2 or less,
+both decided by _vanishing_mod_p.  The reduction
 x - (x // p) * p is checked against Python's % over the int64 range an
 update can reach.
 """
@@ -16,7 +17,11 @@ import pytest
 
 from sparkforge.spark_engine import _last_pivot_vanishes, _root_images, _vanishing_mod_p
 
-_PRIMES = [_root_images(order, 0)[0] for order in (1, 2048)]
+# Both kernels form products of two residues and their difference, which
+# stays in int64 for any p < 2^31, so they are checked past the engine's
+# primes below 2^26 too, at the first primes = 1 (mod 1) and (mod 2048)
+# above 2^30.
+_PRIMES = [_root_images(order, 0)[0] for order in (1, 2048)] + [1_073_741_827, 1_073_750_017]
 _KINDS = ["uniform", "extremes", "zero column", "repeated column", "combination", "zero corner"]
 
 

@@ -656,6 +656,22 @@ def test_construct_refuses_an_option_its_kind_does_not_read(capsys, argv, unread
     assert err == f"error: {argv[0]} does not read {unread}\n"
 
 
+def test_a_long_list_error_quotes_the_first_bad_token(capsys, tmp_path):
+    # 200,000 good tokens and one bad one: the error names the bad token alone.
+    text = "1 " * 200_000 + "x"
+    rows = tmp_path / "rows.txt"
+    rows.write_text(text, encoding="utf-8")
+    for argv in (
+        ["dft-analyze", "--n", "7", "--rows-file", str(rows)],
+        ["dft-analyze", "--n", "7", "--rows", text],
+        ["spark", "--dft", "7", "--rows", "0", "--cols", text],
+        ["construct", "--vandermonde", "--bases", text, "--m", "2"],
+    ):
+        code, doc, err = _run(capsys, argv)
+        assert _one_line_error(code, doc, err) and len(err.encode()) < 200, argv[:4]
+        assert err == "error: expected integers, got 'x'\n"
+
+
 @pytest.mark.parametrize("token", ["0_3", "٣", "３", "3.0", "0x3", "+-3", "3-"])
 def test_list_tokens_must_be_ascii_decimal_integers(capsys, tmp_path, monkeypatch, token):
     # int() reads "0_3" as 3 and "٣" (ARABIC-INDIC DIGIT THREE) as 3.

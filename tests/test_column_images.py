@@ -2,7 +2,7 @@
 
 _integral_coeffs turns the entries into power-basis coefficients, scaling
 each row with a denominator by the lcm of its denominators, and _images
-maps them to F_p under every ring map of a prime in one limb-split matmul
+maps them to F_p under every ring map of a prime in one int64 matmul
 (_mulmod).  Both are checked here against plain Python loops: the
 row-lcm scaling done by hand, and sum_t c_t w[k, t] mod p in Python ints.
 The per-order tables behind them, and the root tables of the
@@ -14,10 +14,12 @@ import math
 import numpy as np
 import pytest
 
-from sparkforge import exact_arith, spark_engine
-from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi
+from sparkforge import cli, exact_arith, spark_engine
+from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi, is_prime
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
 from sparkforge.spark_engine import (
+    _MAX_TERMS,
+    _PRIME_FLOOR,
     _images,
     _integral_coeffs,
     _mulmod,
@@ -69,22 +71,31 @@ def test_images_match_python_sums(order, data):
     assert _images(order, index, coeffs, maps=1)[1].tolist() == images[:1].tolist()
 
 
-def test_mulmod_is_exact_at_the_limb_bound():
-    # 2^16 - 1 terms under the prime 2^31 - 1, every map entry p - 1 and
-    # every residue p - 2^16, whose low limb is 2^16 - 1: the low limb sum
-    # comes within 2^49 of 2^63, past which int64 wraps.
-    p = 2**31 - 1
-    phi = (1 << 16) - 1
-    residue = p - (1 << 16)
-    w = np.full((1, phi), p - 1, dtype=np.int64)
-    residues = np.full((phi, 1), residue, dtype=np.int64)
-    assert _mulmod(w, residues, p).tolist() == [[phi * (p - 1) * residue % p]]
+def test_one_bound_at_the_prime_floor_keeps_int64_exact():
+    # _MAX_TERMS products of residues below 2 _PRIME_FLOOR and a carried
+    # residue stay in int64, and every order the CLI admits maps each
+    # coefficient in one run.
+    assert (2 * _PRIME_FLOOR - 1) ** 2 * _MAX_TERMS + 2 * _PRIME_FLOOR < 2**63
+    assert max(euler_phi(n) for n in range(1, cli.MAX_ORDER + 1)) <= _MAX_TERMS
+
+
+@pytest.mark.parametrize("terms", [_MAX_TERMS, _MAX_TERMS + 1, 2 * _MAX_TERMS + 1])
+def test_mulmod_is_exact_at_and_past_one_run(terms):
+    # Every entry p - 1 under the largest prime below 2 _PRIME_FLOOR: one
+    # full run reaches the int64 bound, and the runs past it are added to
+    # the residue carried over.
+    p = next(q for q in range(2 * _PRIME_FLOOR - 1, 0, -2) if is_prime(q))
+    a = np.full((2, terms), p - 1, dtype=np.int64)
+    b = np.full((terms, 3), p - 1, dtype=np.int64)
+    want = sum(x * y for x, y in zip(a[0].tolist(), b[:, 0].tolist())) % p
+    assert _mulmod(a, b, p).tolist() == [[want] * 3] * 2
 
 
 def test_mulmod_stays_exact_past_2_16_terms():
-    # 2^16 + 3 terms, every entry p - 1 under the prime 2^31 - 1: a full run
-    # of 2^16 - 1 terms, then a run of 4 added to the residue carried over.
-    p = 2**31 - 1
+    # 2^16 + 3 terms, every entry p - 1 under the largest prime below
+    # 2 _PRIME_FLOOR: 32 full runs of _MAX_TERMS terms, then a run of 35,
+    # each added to the residue carried over.
+    p = next(q for q in range(2 * _PRIME_FLOOR - 1, 0, -2) if is_prime(q))
     terms = (1 << 16) + 3
     a = np.full((1, terms), p - 1, dtype=np.int64)
     b = np.full((terms, 1), p - 1, dtype=np.int64)

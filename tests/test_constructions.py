@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sparkforge import (
     vandermonde,
     welch_bound_sq,
 )
+from sparkforge.constructions import _complex_matrix, _unit_scaled
 from sparkforge.dft_analysis import IndexSet
 from sparkforge.exact_arith import root_power
 from sparkforge.exact_linalg import ExactMatrix
@@ -268,6 +270,53 @@ def test_coherence_extremes_and_tie_break():
     assert result.pair == (0, 1)
     with pytest.raises(ZeroColumn):
         coherence(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def _coherence_by_full_gram(f):
+    """The former body of coherence, the oracle: the whole Gram matrix at once."""
+    arr = _unit_scaled(_complex_matrix(f, min_shape=(0, 2)), axis=0)
+    unit = arr / np.linalg.norm(arr, axis=0)[None, :]
+    gram = np.abs(unit.conj().T @ unit)
+    i_idx, j_idx = np.triu_indices(arr.shape[1], 1)
+    vals = gram[i_idx, j_idx]
+    best = int(np.argmax(vals))
+    return float(vals[best]), (int(i_idx[best]), int(j_idx[best]))
+
+
+def _assert_coherence_matches_the_oracle(f):
+    result, (mu, pair) = coherence(f), _coherence_by_full_gram(f)
+    assert abs(result.mu - mu) <= 1e-12 and result.pair == pair
+
+
+@pytest.mark.parametrize("m, n", [(1, 7), (3, 40), (2, 1_100), (5, 1_500)])
+def test_coherence_matches_the_full_gram_oracle(m, n):
+    # Past 1,024 columns the Gram matrix is read in several row blocks.
+    rng = np.random.default_rng(m * n)
+    _assert_coherence_matches_the_oracle(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    # Entries +-1 and +-i over 4 rows normalize to +-1/2, +-i/2 exactly, so
+    # every inner product is exact and repeated columns tie exactly: the
+    # lexicographically first tying pair must win across blocks too.
+    signs = rng.choice(np.array([1, -1, 1j, -1j]), size=(4, n // 4 + 2))
+    f = signs[:, rng.integers(0, signs.shape[1], size=n)]
+    _assert_coherence_matches_the_oracle(f)
+    for frame in (harmonic_identity(5, (0, 1, 4), 1), optimal_vandermonde(8, 3, normalize=True),
+                  np.eye(3), np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])):
+        _assert_coherence_matches_the_oracle(frame)
+
+
+def test_coherence_memory_stays_bounded_past_the_full_gram():
+    # The full Gram matrix of 1 x 4,000 columns took 366 MiB; the row blocks
+    # hold about 2^20 entries.  Real entries give unit columns +-1, so every
+    # pair has modulus exactly 1 and the first pair wins.
+    f = np.random.default_rng(0).standard_normal((1, 4_000))
+    tracemalloc.start()
+    try:
+        result = coherence(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert (result.mu, result.pair) == (1.0, (0, 1))
 
 
 def test_welch_bound_holds_for_unit_norm_constructions():

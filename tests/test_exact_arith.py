@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from sparkforge import cyclotomic_poly, root_power
 from sparkforge.exact_arith import (
     CycInt,
     ExactScalar,
+    _MILLER_RABIN_BOUND,
     _invert_coeffs,
     _ring,
     _root_table,
@@ -271,6 +273,17 @@ def test_is_prime_matches_sympy():
     # Past the Miller-Rabin bound trial division decides: 10^25 = 2^25 5^25.
     assert not is_prime(10**25)
     assert is_prime(2**31 - 1) and is_prime(10**14 + 31) and not is_prime((2**31 - 1) ** 2)
+
+
+@pytest.mark.parametrize("factor", [2, 3, 35])
+def test_is_prime_past_the_miller_rabin_bound_stops_at_the_first_divisor(factor):
+    # Trial division used to factor n completely: 2 B took minutes.
+    sympy = pytest.importorskip("sympy")
+    n = factor * _MILLER_RABIN_BOUND
+    start = time.perf_counter()
+    assert is_prime(n) is False
+    assert time.perf_counter() - start < 1
+    assert not sympy.isprime(n)
 
 
 def test_divisors_match_brute_force():

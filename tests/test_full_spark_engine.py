@@ -15,7 +15,7 @@ import pytest
 from sparkforge.errors import BudgetExceeded, ShapeError
 from sparkforge.exact_arith import CycInt, ExactScalar, cyclotomic_poly, euler_phi, is_prime
 from sparkforge.exact_linalg import ExactMatrix, det_exact, dft_submatrix
-from sparkforge.spark_engine import SparkCertificate, _root_images, is_full_spark
+from sparkforge.spark_engine import SparkCertificate, _PRIME_FLOOR, _root_images, is_full_spark
 
 
 def oracle(a, budget=10**6, is_zero=None):
@@ -136,7 +136,7 @@ def test_minor_divisible_by_the_prime_is_not_a_witness(order):
 def test_modular_maps_are_the_ring_maps(order):
     p, table = _root_images(order, 0)
     w = table[:, : euler_phi(order)]  # the images of the power basis
-    assert 2**30 < p < 2**31 and (p - 1) % order == 0 and is_prime(p)
+    assert _PRIME_FLOOR < p < 2 * _PRIME_FLOOR and (p - 1) % order == 0 and is_prime(p)
     assert w.shape == (euler_phi(order), euler_phi(order))
     # Row k is the power basis at a root g of the order-th cyclotomic
     # polynomial mod p, so it is a ring map Z[w] -> F_p; the roots differ.

@@ -12,14 +12,15 @@ same oracles.
 """
 
 import itertools
+import json
 import math
 
 import pytest
 
-from sparkforge import spark_engine
+from sparkforge import cli, spark_engine
 from sparkforge.exact_arith import CycInt, ExactScalar, euler_phi, is_prime, root_power
 from sparkforge.exact_linalg import ExactMatrix, dft_submatrix
-from sparkforge.spark_engine import _root_images, is_full_spark, spark
+from sparkforge.spark_engine import _PRIME_FLOOR, _root_images, is_full_spark, spark
 
 from test_full_spark_engine import oracle as det_sweep
 from test_spark_fp import oracle as rank_sweep
@@ -43,7 +44,9 @@ def _primes_seen(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("start", [(1 << 30) + 1, (1 << 31) - 20_001])
+@pytest.mark.parametrize(
+    "start", [(1 << 30) + 1, (1 << 31) - 20_001, _PRIME_FLOOR + 1, 2 * _PRIME_FLOOR - 20_001]
+)
 def test_primality_check_matches_sympy_near_the_ends_of_its_range(start):
     for n in range(start, start + 20_000, 2):
         assert is_prime(n) == sympy.isprime(n), n
@@ -57,7 +60,7 @@ def test_primality_check_refuses_strong_pseudoprimes(n):
 
 @pytest.mark.parametrize("order", [1, 12, 1009])
 def test_root_image_primes_are_the_first_primes_of_the_walk(order):
-    # _root_images walks p = 1 (mod order) up from 2^30 and takes each prime.
+    # _root_images walks p = 1 (mod order) up from _PRIME_FLOOR and takes each prime.
     floor = spark_engine._PRIME_FLOOR
     walk = itertools.count(floor + 1 + (-floor) % order, order)
     primes = []
@@ -129,24 +132,47 @@ def test_one_nonzero_image_under_a_further_prime_is_enough(monkeypatch):
 
 
 def test_large_dependent_columns_take_primes_until_the_bound(monkeypatch):
-    # Proportional columns with entries near 2^100: H is about 2^202, so the
-    # proof takes seven primes above 2^30 before it says dependent.
+    # Proportional columns with entries near 2^100: H^2 is about 2^404, so
+    # the proof takes nine primes above _PRIME_FLOOR = 2^25 before it says
+    # dependent.
     x, y = 2**100 + 7, 3**63
     a = ExactMatrix.from_rows([[x, 2 * x, 1], [y, 2 * y, 1]])
     seen = _primes_seen(monkeypatch)
     cert = spark(a)
     assert (cert.spark, cert.witness, cert.checked_subsets) == (2, (0, 1), 4)
-    assert seen == [_root_images(1, i)[0] for i in range(7)]
+    primes = [_root_images(1, i)[0] for i in range(9)]
+    h2 = (x * x + y * y) * (4 * x * x + 4 * y * y)
+    assert math.prod(primes[:-1]) ** 2 <= h2 < math.prod(primes) ** 2
+    assert seen == primes
     assert is_full_spark(a).witness == (0, 1)
 
 
-@pytest.mark.parametrize("m, primes", [(16, 2), (15, 1)])
+def test_running_out_of_primes_is_a_one_line_error(monkeypatch, tmp_path, capsys):
+    # Only seven primes lie in (2^5, 2^6), and the proportional columns
+    # above need P^2 past 2^404.
+    monkeypatch.setattr(spark_engine, "_PRIME_FLOOR", 1 << 5)
+    x, y = 2**100 + 7, 3**63
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "integer", "rows": 2, "cols": 3,
+                                "entries": [x, 2 * x, 1, y, 2 * y, 1]}), encoding="utf-8")
+    _root_images.cache_clear()
+    try:
+        code = cli.run(["spark", "--matrix", str(path)])
+    finally:
+        _root_images.cache_clear()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: fewer than 8 primes = 1 (mod 1) in (2^5, 2^6)\n"
+
+
+@pytest.mark.parametrize("m, primes", [(16, 2), (14, 2), (13, 1)])
 def test_root_witness_takes_primes_until_p_squared_passes_k_to_the_k(m, primes, monkeypatch):
     # Columns 0 and 1 are both w^0 = 1, so the first subset is the witness.
-    # Every conjugate of a root has modulus 1: H^2 = k^k, and 16^16 = 2^64
-    # passes p^2 < 2^62, while 15^15 < 2^59 stays below p^2 > 2^60.  An L1
+    # Every conjugate of a root has modulus 1: H^2 = k^k, and 14^14 > 2^53
+    # passes p^2 < 2^52, while 13^13 < 2^49 stays below p^2 > 2^50.  An L1
     # bound would count w^16 = -(1 + ... + w^15) as 16 and take a second
-    # prime at 15 rows too.
+    # prime at 13 rows too.
+    assert 13**13 < _PRIME_FLOOR**2 and 14**14 > (2 * _PRIME_FLOOR) ** 2
     a = dft_submatrix(17, range(m), [0, 0, *range(1, m)])
     seen = _primes_seen(monkeypatch)
     cert = is_full_spark(a)
