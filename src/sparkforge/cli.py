@@ -164,12 +164,23 @@ def _read_json(path: str, text: str | None = None, what: str = "invalid JSON"):
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 _REAL_TOKEN = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|infinity|nan)", re.I)
 
+# A bad number is quoted whole up to _QUOTED_CHARS characters, else by that
+# prefix and its length.  repr spends at most 10 bytes on a character
+# ('\U0010ffff'), so every such error line stays under 200 bytes.
+_QUOTED_CHARS = 10
+
+
+def _quoted(text: str) -> str:
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+
 
 def _number(token: re.Pattern, convert, what: str):
     """An option's type: its text must match token; argparse names the option in the error."""
     def read(text: str):
         if not token.fullmatch(text):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {what}, got {_quoted(text)}")
         return convert(text)
     return read
 
@@ -190,7 +201,7 @@ def _parse_int_list(text: str) -> list[int]:
     tokens = text.replace(",", " ").split()
     for token in tokens:
         if not _INT_TOKEN.fullmatch(token):
-            raise UsageError(f"expected integers, got {token!r}")
+            raise UsageError(f"expected integers, got {_quoted(token)}")
     return [int(tok) for tok in tokens]
 
 
@@ -403,12 +414,14 @@ def _cmd_probe(args):
         print(f"warning: sketch base pool capped at {result.p}; "
               "the success guarantee degrades", file=sys.stderr)
     doc = dict(result.as_dict(), witness=None, corroborated=False)
-    if not result.exceeds_k and args.corroborate:
-        cert = spark(target, budget=args.budget)
-        if cert.spark <= args.k:
-            doc.update(witness=list(cert.witness) if cert.witness else None,
-                       spark=cert.spark, corroborated=True)
-    return doc, 0 if result.exceeds_k else 1
+    if result.exceeds_k or not args.corroborate:
+        return doc, 0 if result.exceeds_k else 1
+    # The exact spark decides: a sketch can make independent columns dependent.
+    cert = spark(target, budget=args.budget)
+    doc["spark"] = cert.spark
+    if cert.spark <= args.k:
+        doc.update(witness=list(cert.witness) if cert.witness else None, corroborated=True)
+    return doc, 0 if cert.spark > args.k else 1
 
 
 # Options shared by several subcommands, as (flag, add_argument keywords).

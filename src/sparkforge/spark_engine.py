@@ -6,10 +6,13 @@ matrix with M rows is "full spark" when the spark equals M+1, equivalently
 when every MxM column submatrix is invertible.  spark, the full-spark
 check and the numeric probe run the one subset sweep, sweep._first_dependent.
 
-The numeric probe and Hall girth test one subset at a time.  spark and
-the full-spark check search in blocks mod p: the matrix is mapped to F_p,
-p = 1 (mod N) a prime in (2^25, 2^26), so that all arithmetic mod p is
-exact in int64, under the first of the phi(N) ring maps Z[w] -> F_p, its
+Both engines search a level through one block loop, _block_sweep, over
+the cached tables of _subset_rows: a whole block of subsets is stacked and
+flagged at once, and each flagged subset is then proved or accepted.  The
+numeric probe flags a block by one batched SVD and accepts its flags.
+spark and the full-spark check flag in blocks mod p: the matrix is mapped
+to F_p, p = 1 (mod N) a prime in (2^25, 2^26), so that all arithmetic mod
+p is exact in int64, under the first of the phi(N) ring maps Z[w] -> F_p, its
 rows are mixed once by a fixed seeded matrix R, and a block is eliminated
 with numpy without row exchanges.  The matrix is one column-major array,
 the exponent table of a matrix of roots of unity w^t (a DFT submatrix,
@@ -165,10 +168,7 @@ def spark(a: ExactMatrix, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
     if total <= budget and search(top) is None:
         return SparkCertificate(top + 1, m, n, None, total, "exact", budget)
     k, witness, checked = _first_dependent(n, range(1, top + 1), budget, search)
-    return SparkCertificate(
-        spark=k, rows=m, cols=n, witness=witness,
-        checked_subsets=checked, mode="exact", budget=budget,
-    )
+    return SparkCertificate(k, m, n, witness, checked, "exact", budget)
 
 
 # Subsets are decided modulo primes p = 1 (mod N) in (_PRIME_FLOOR,
@@ -344,10 +344,8 @@ def _block_search(a: ExactMatrix):
     the lex-first dependent subset overall, and the answer is the one the
     full lex sweep gives.
 
-    Either way the subsets come as arrays of column indices from
-    _subset_rows, whose LRU byte cache keeps each level, plain or one per
-    orbit, for the next search of the same (n, k).  Blocks are slices of
-    those arrays (_blocks); only a proved witness becomes a tuple of ints.
+    Either way the level runs through _block_sweep, with the last pivot as
+    its flag and _dependent_by_norm as its proof.
     """
     exponents = _root_exponents(a)
     columns = _integral_coeffs(a) if exponents is None else exponents.T
@@ -356,15 +354,35 @@ def _block_search(a: ExactMatrix):
     n, m = images.shape[1:]
     mixed = _mulmod(_row_mixing(min(m, n), m, p), images[0].T, p)
 
+    def flags(block):
+        # [row, column, subset]: R_k A_S for each subset S of the block.
+        return _last_pivot_vanishes(mixed[: block.shape[1]].take(block.T, axis=1), p)
+
+    return _block_sweep(n, orbits, lambda k: k * k, flags,
+                        lambda cols: _dependent_by_norm(a.order, columns[cols]))
+
+
+def _block_sweep(n: int, orbits: bool, entries, flags, proves):
+    """search(k) for _first_dependent, the one block loop of both engines:
+    the first size-k subset, in the order of _subset_rows(n, k, orbits),
+    that ``flags`` marks and ``proves`` accepts, or None.
+
+    _subset_rows gives the level as arrays of column indices, from an LRU
+    byte cache that keeps each level, plain or one per orbit, for the next
+    search of the same (n, k).  Blocks are slices of those arrays (_blocks)
+    of up to _BLOCK_ENTRIES // entries(k) subsets, entries(k) being what
+    one subset stacks.  flags(block) decides a whole block in one call;
+    proves(columns) then takes its marked rows in turn, and only the first
+    one accepted becomes a tuple of ints.
+    """
+
     def search(k):
-        cap = max(1, _BLOCK_ENTRIES // max(1, k * k))
+        cap = max(1, _BLOCK_ENTRIES // max(1, entries(k)))
         rows = _subset_rows(n, k, orbits)
         try:
             for block in _blocks(rows, min(_FIRST_BLOCK, cap), cap):
-                # [row, column, subset]: R_k A_S for each subset S of the block.
-                stack = mixed[:k].take(block.T, axis=1)
-                for j in np.flatnonzero(_last_pivot_vanishes(stack, p)):
-                    if _dependent_by_norm(a.order, columns[block[j]]):
+                for j in np.flatnonzero(flags(block)):
+                    if proves(block[j]):
                         return tuple(block[j].tolist())
             return None
         finally:
@@ -591,10 +609,7 @@ def is_full_spark(
     if m > n:
         raise ShapeError(f"full spark needs cols >= rows, got {m}x{n}")
     k, witness, checked = _first_dependent(n, (m,), budget, _block_search(a))
-    return SparkCertificate(
-        spark=k, rows=m, cols=n, witness=witness,
-        checked_subsets=checked, mode="exact", budget=budget,
-    )
+    return SparkCertificate(k, m, n, witness, checked, "exact", budget)
 
 
 def numeric_spark_probe(
@@ -603,29 +618,27 @@ def numeric_spark_probe(
     """Floating-point spark estimate via singular value rank decisions.
 
     A column subset counts as dependent when its smallest singular value is
-    at most tol * largest * max(shape), for a finite tol >= 0, once scaled
-    by a power of two into range.  Same sweep order and sentinel conventions
-    as the exact engine; the certificate is advisory, not a proof.
+    at most tol * largest * rows, for a finite tol >= 0, once scaled by a
+    power of two into range.  Each level runs through _block_sweep in plain
+    lex order: a block of subsets is stacked as one (subsets, rows, k)
+    array, scaled per subset, and decided by one batched SVD, and a flagged
+    subset is taken as it is.  Same sweep order and sentinel conventions as
+    the exact engine; the certificate is advisory, not a proof.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     arr = _complex_matrix(f)
     m, n = arr.shape
 
-    def dependent(cols):
-        sub = _unit_scaled(arr[:, cols])
-        s = np.linalg.svd(sub, compute_uv=False)
-        smax = float(s[0])
-        return smax == 0.0 or float(s[-1]) <= tol * smax * max(sub.shape)
+    def flags(block):
+        # [subset, row, column]: A_S for each subset S of the block.
+        stack = _unit_scaled(arr.T[block].swapaxes(1, 2), axis=(1, 2))
+        s = np.linalg.svd(stack, compute_uv=False)
+        return s[:, -1] <= tol * s[:, 0] * m
 
-    def search(k):
-        return next(filter(dependent, itertools.combinations(range(n), k)), None)
-
+    search = _block_sweep(n, False, lambda k: m * k, flags, lambda cols: True)
     k, witness, checked = _first_dependent(n, range(1, min(m, n) + 1), budget, search)
-    return SparkCertificate(
-        spark=k, rows=m, cols=n, witness=witness,
-        checked_subsets=checked, mode="numeric", budget=budget,
-    )
+    return SparkCertificate(k, m, n, witness, checked, "numeric", budget)
 
 
 def compressed_spark_probe(

@@ -11,6 +11,10 @@ independent sets are independent, so one top level can settle all.  The
 numeric probe keeps the plain order (rank under a float tolerance is not
 monotone), and so does Hall girth, whose top level is the whole ground
 set.
+
+Within a level, spark, the full-spark check and the numeric probe share
+one block loop, spark_engine._block_sweep, over cached tables of column
+indices; Hall girth searches depth first (matroid._first_violation).
 """
 
 from __future__ import annotations

@@ -301,6 +301,24 @@ def test_probe_corroborates_negative_answer(capsys, tmp_path):
     assert "spark" not in doc
 
 
+def test_probe_exit_code_follows_the_corroborating_spark(capsys, tmp_path):
+    # With one base the sketch is [1, 1]: column 2 = (1, -1) maps to 0, so the
+    # sketch alone is negative, but the exact spark is 3 > k = 1.
+    path = _write_json(
+        tmp_path / "m.json",
+        {"schema_version": 1, "kind": "integer", "rows": 2, "cols": 3,
+         "entries": [1, 0, 1, 0, 1, -1]},
+    )
+    argv = ["probe", "--matrix", path, "--k", "1", "--p-cap", "1"]
+    code, doc, _ = _run(capsys, argv)
+    assert code == 0
+    assert doc["spark_exceeds_k"] is False and doc["candidate_columns"] == [2]
+    assert doc["spark"] == 3 and doc["corroborated"] is False and doc["witness"] is None
+
+    code, doc, _ = _run(capsys, [*argv, "--no-corroborate"])
+    assert code == 1 and "spark" not in doc and doc["corroborated"] is False
+
+
 def test_probe_rejects_non_integer_matrix(capsys, tmp_path):
     frame = cli.matrix_to_json(dft_submatrix(5, (0, 1)))
     path = _write_json(tmp_path / "cyc.json", frame)
@@ -670,6 +688,34 @@ def test_a_long_list_error_quotes_the_first_bad_token(capsys, tmp_path):
         code, doc, err = _run(capsys, argv)
         assert _one_line_error(code, doc, err) and len(err.encode()) < 200, argv[:4]
         assert err == "error: expected integers, got 'x'\n"
+
+
+def test_a_long_bad_token_is_quoted_by_a_prefix_and_its_length(capsys, tmp_path):
+    # One token of 200,001 characters: the error quotes its first ten.
+    token = "1" * 200_000 + "x"
+    rows = tmp_path / "rows.txt"
+    rows.write_text(token, encoding="utf-8")
+    quoted = "'1111111111'... (200001 characters)"
+    for argv, want in (
+        (["dft-analyze", "--n", "7", "--rows-file", str(rows)], f"expected integers, got {quoted}"),
+        (["dft-analyze", "--n", "7", "--rows", token[100_000:]],
+         "expected integers, got '1111111111'... (100001 characters)"),
+        (["spark", "--dft", "7", "--rows", "0,1", "--budget", token],
+         f"argument --budget: must be an integer, got {quoted}"),
+    ):
+        code, doc, err = _run(capsys, argv)
+        assert _one_line_error(code, doc, err) and len(err.encode()) < 200, argv[:4]
+        assert err == f"error: {want}\n"
+    # Ten characters are quoted whole.  Ten of the widest repr, '\U0010ffff',
+    # stay under the bound after the longest message, a real option's.
+    code, doc, err = _run(capsys, ["dft-analyze", "--n", "7", "--rows", "0,123456789a"])
+    assert err == "error: expected integers, got '123456789a'\n"
+    for argv in (["dft-analyze", "--n", "7", "--rows", "0," + chr(0x10FFFF) * 11],
+                 ["rip-check", "--n", "7", "--k", "1", "--rows", "0",
+                  "--delta", chr(0x10FFFF) * 10**6]):
+        code, doc, err = _run(capsys, argv)
+        assert _one_line_error(code, doc, err) and len(err.encode()) < 200, argv[:4]
+        assert err.endswith(" characters)\n")
 
 
 @pytest.mark.parametrize("token", ["0_3", "٣", "３", "3.0", "0x3", "+-3", "3-"])

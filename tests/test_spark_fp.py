@@ -377,17 +377,24 @@ def test_mixing_stays_exact_past_2_16_rows():
 def test_blocks_stack_up_to_block_entries_at_every_size(monkeypatch):
     """A block of a size-k level stacks k^2 entries per subset, one k x k
     image under the first map, up to _BLOCK_ENTRIES in all, however many
-    more rows than k the matrix has and whatever phi is."""
+    more rows than k the matrix has and whatever phi is.  The numeric
+    probe's blocks stack rows * k complex entries per subset, the m x k
+    column submatrix, under the same cap."""
     entries = 1 << 5
     shapes = []
-    kernel = spark_engine._last_pivot_vanishes
+    kernel, unit_scaled = spark_engine._last_pivot_vanishes, spark_engine._unit_scaled
 
     def recording(stack, p):
         shapes.append(stack.shape)
         return kernel(stack, p)
 
+    def scaling(stack, axis=None):
+        shapes.append(stack.shape)
+        return unit_scaled(stack, axis)
+
     monkeypatch.setattr(spark_engine, "_BLOCK_ENTRIES", entries)
     monkeypatch.setattr(spark_engine, "_last_pivot_vanishes", recording)
+    monkeypatch.setattr(spark_engine, "_unit_scaled", scaling)
     for a in (
         ExactMatrix.from_rows([[b**i for b in range(1, 17)] for i in range(6)]),  # phi = 1
         dft_submatrix(7, (0, 1, 3, 5, 6), range(6)),  # phi = 6, the plain sweep
@@ -401,6 +408,15 @@ def test_blocks_stack_up_to_block_entries_at_every_size(monkeypatch):
             assert all(shape[:2] == (k, k) for shape in shapes)
             assert sum(stacked) == math.comb(a.cols, k) * per_subset
             assert max(stacked) == entries // per_subset * per_subset
+    shapes.clear()
+    f = np.random.default_rng(3).standard_normal((3, 16))
+    assert spark_engine.numeric_spark_probe(f).spark == 4  # every level, in blocks
+    for k in (1, 2, 3):
+        per_subset = 3 * k
+        stacked = [math.prod(shape) for shape in shapes if shape[2] == k]
+        assert all(shape[1:] == (3, k) for shape in shapes if shape[2] == k)
+        assert sum(stacked) == math.comb(16, k) * per_subset
+        assert max(stacked) == entries // per_subset * per_subset
 
 
 def test_zero_mixing_flags_every_subset_and_changes_no_certificate(monkeypatch):
