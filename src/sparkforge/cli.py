@@ -10,6 +10,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,7 +21,8 @@ import sys
 # rip-check, Hall matroid-girth and clique-gadget never load it; handlers
 # import constructions, spark_engine and numpy themselves.
 from . import dft_analysis, matroid
-from .errors import BudgetExceeded, CapExceeded, SparkforgeError
+from .errors import (BudgetExceeded, CapExceeded, ShapeError, SparkforgeError, _quoted,
+                     json_count, json_field, json_int, json_list)
 from .exact_arith import CycInt, ExactScalar, euler_phi, is_prime, is_prime_power
 from .exact_linalg import ExactMatrix, dft_submatrix
 from .sweep import DEFAULT_BUDGET
@@ -74,24 +76,10 @@ def matrix_to_json(obj) -> dict:
             **order, "entries": entries}
 
 
-def _json_int(value, what: str) -> int:
-    # bool is an int subclass, and int() would truncate floats silently.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_count(value, what: str) -> int:
-    value = _json_int(value, what)
-    if value < 0:
-        raise UsageError(f"{what} must be non-negative, got {value}")
-    return value
-
-
 def _order(value) -> int:
-    order = _json_int(value, "order")
+    order = json_int(value, "order")
     if not 1 <= order <= MAX_ORDER:
-        raise UsageError(f"order must lie in 1..{MAX_ORDER}, got {order}")
+        raise UsageError(f"order must lie in 1..{MAX_ORDER}, got {_quoted(order)}")
     return order
 
 
@@ -101,28 +89,22 @@ def matrix_from_json(doc: dict):
         raise UsageError("matrix file must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise UsageError(f"unsupported schema_version {version!r}")
-    try:
-        kind = doc["kind"]
-        rows = _json_count(doc["rows"], "rows")
-        cols = _json_count(doc["cols"], "cols")
-        entries = doc["entries"]
-        order = _order(doc["order"]) if kind == "cyclotomic" else 1
-    except KeyError as exc:
-        raise UsageError(f"matrix file missing field {exc}") from exc
-    if not isinstance(entries, list):
-        raise UsageError(f"entries must be a JSON list, got {entries!r}")
+        raise UsageError(f"unsupported schema_version {_quoted(version)}")
+    kind, rows, cols, entries = (json_field(doc, key, "matrix file")
+                                 for key in ("kind", "rows", "cols", "entries"))
+    rows, cols = json_count(rows, "rows"), json_count(cols, "cols")
+    entries = json_list(entries, "entries")
+    order = _order(json_field(doc, "order", "matrix file")) if kind == "cyclotomic" else 1
     if len(entries) != rows * cols:
-        raise UsageError(f"expected {rows * cols} entries, got {len(entries)}")
+        raise UsageError(f"expected {_quoted(rows * cols)} entries, got {len(entries)}")
     if kind == "integer":
-        return ExactMatrix(rows, cols, [_json_int(e, "integer entry") for e in entries])
+        return ExactMatrix(rows, cols, [json_int(e, "integer entry") for e in entries])
     if kind == "cyclotomic":
         phi = euler_phi(order)
         scalars = []
         for coeffs in entries:
-            if not isinstance(coeffs, list):
-                raise UsageError(f"cyclotomic entry must be a list of coefficients, got {coeffs!r}")
-            coeffs = [_json_int(c, "cyclotomic coefficient") for c in coeffs]
+            coeffs = json_list(coeffs, "cyclotomic entry")
+            coeffs = [json_int(c, "cyclotomic coefficient") for c in coeffs]
             if len(coeffs) > phi:
                 raise UsageError(f"coefficient vector longer than {phi}")
             coeffs += [0] * (phi - len(coeffs))
@@ -130,9 +112,10 @@ def matrix_from_json(doc: dict):
         return ExactMatrix(rows, cols, scalars, order)
     if kind == "complex_float":
         for e in entries:
-            if not (isinstance(e, list) and len(e) == 2
-                    and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e)):
-                raise UsageError(f"complex entry must be a [real, imag] pair of numbers, got {e!r}")
+            pair = json_list(e, "complex entry", 2)
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+                raise ShapeError("complex entry must be a [real, imag] pair of numbers, "
+                                 f"got {_quoted(e)}")
         try:
             data = [complex(re, im) for re, im in entries]
         except OverflowError as exc:
@@ -140,7 +123,7 @@ def matrix_from_json(doc: dict):
         import numpy as np
 
         return np.array(data, dtype=complex).reshape(rows, cols)
-    raise UsageError(f"unknown matrix kind {kind!r}")
+    raise UsageError(f"unknown matrix kind {_quoted(kind)}")
 
 
 def _read_text(path: str) -> str:
@@ -154,7 +137,8 @@ def _read_text(path: str) -> str:
 def _read_json(path: str, text: str | None = None, what: str = "invalid JSON"):
     try:  # the text, when given, is the file's, already read
         return json.loads(_read_text(path) if text is None else text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+    # RecursionError: deep nesting; a plain ValueError: an integer of more digits than int() reads
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{what} in {path}: {exc}") from exc
 
 
@@ -164,24 +148,16 @@ def _read_json(path: str, text: str | None = None, what: str = "invalid JSON"):
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 _REAL_TOKEN = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|infinity|nan)", re.I)
 
-# A bad number is quoted whole up to _QUOTED_CHARS characters, else by that
-# prefix and its length.  repr spends at most 10 bytes on a character
-# ('\U0010ffff'), so every such error line stays under 200 bytes.
-_QUOTED_CHARS = 10
-
-
-def _quoted(text: str) -> str:
-    if len(text) <= _QUOTED_CHARS:
-        return repr(text)
-    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
-
 
 def _number(token: re.Pattern, convert, what: str):
-    """An option's type: its text must match token; argparse names the option in the error."""
+    """An option's type: its text must match token, and convert must read it
+    (int() reads at most sys.get_int_max_str_digits() digits); argparse names
+    the option in the error, and never the text itself."""
     def read(text: str):
-        if not token.fullmatch(text):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {_quoted(text)}")
-        return convert(text)
+        if token.fullmatch(text):
+            with contextlib.suppress(ValueError):
+                return convert(text)
+        raise argparse.ArgumentTypeError(f"must be {what}, got {_quoted(text)}")
     return read
 
 
@@ -193,7 +169,7 @@ def _count(text: str) -> int:
     """An option's non-negative integer."""
     value = _integer(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {_quoted(value)}")
     return value
 
 
@@ -222,7 +198,7 @@ def _index_set(order: int, args) -> dft_analysis.IndexSet:
         text = _read_text(args.rows_file)
         if text.lstrip().startswith("["):
             rows = _read_json(args.rows_file, text, "rows file must hold a JSON list; invalid JSON")
-            rows = [_json_int(x, "row") for x in rows]
+            rows = [json_int(x, "row") for x in rows]
         else:
             rows = _parse_int_list(text)
     elif args.rows is not None:

@@ -23,6 +23,7 @@ from .errors import (
     RankDeficient,
     ShapeError,
     ZeroColumn,
+    _quoted,
 )
 from .exact_arith import CycInt, ExactScalar, is_prime
 from .exact_linalg import ExactMatrix, dft_submatrix
@@ -132,7 +133,7 @@ def vandermonde(bases, m: int) -> Frame:
     if m < 1:
         raise ShapeError("m must be positive")
     if len(bases) < m:
-        raise ShapeError(f"need at least {m} bases for an {m}-row frame")
+        raise ShapeError(f"need at least {_quoted(m)} bases for an {_quoted(m)}-row frame")
     n = len(bases)
 
     shadow = None

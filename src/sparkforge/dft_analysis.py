@@ -19,6 +19,7 @@ from .errors import (
     IndexOutOfRange,
     NotADivisor,
     NotPrimePower,
+    _quoted,
 )
 from .exact_arith import _units, divisors, is_prime_power
 
@@ -62,9 +63,9 @@ class IndexSet:
             try:
                 r = operator.index(m)
             except TypeError:
-                r = -1
-            if not 0 <= r < order:
-                raise IndexOutOfRange(f"{m} outside 0..{order - 1}")
+                r = m  # not an integer, named as given
+            if not isinstance(r, int) or not 0 <= r < order:
+                raise IndexOutOfRange(f"{_quoted(r)} outside 0..{order - 1}")
             residues.append(r)
         return tuple(residues)
 

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import BadK, CapExceeded, ShapeError
+from .errors import BadK, CapExceeded, ShapeError, _quoted, json_field, json_int, json_list
 from .exact_linalg import ExactMatrix
 from .sweep import DEFAULT_BUDGET, _first_dependent
 
@@ -34,26 +34,6 @@ __all__ = [
 
 # Adjacency entries |E| * (C(k,2) - k + 1) of the largest clique gadget built.
 MAX_GADGET_ENTRIES = 1_000_000
-
-
-def _field(data, key: str):
-    if not isinstance(data, dict) or key not in data:
-        raise ShapeError(f"graph file missing field {key!r}")
-    return data[key]
-
-
-def _graph_list(value) -> list:
-    # A dict or string would iterate as keys or characters, or as nothing.
-    if not isinstance(value, (list, tuple)):
-        raise ShapeError(f"graph lists must be JSON lists, got {value!r}")
-    return value
-
-
-def _graph_int(value) -> int:
-    # bool is an int subclass, and int() would truncate floats silently.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ShapeError(f"graph entries must be integers, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -74,17 +54,17 @@ class BipartiteGraph:
         for nbrs in adj:
             for v in nbrs:
                 if not 0 <= v < self.right_size:
-                    raise ShapeError(f"right vertex {v} out of range")
+                    raise ShapeError(f"right vertex {_quoted(v)} out of range")
 
     @classmethod
     def from_dict(cls, data: dict) -> "BipartiteGraph":
+        ground, right, adj = (json_field(data, key, "graph file")
+                              for key in ("ground", "right", "adj"))
         return cls(
-            ground_size=_graph_int(_field(data, "ground")),
-            right_size=_graph_int(_field(data, "right")),
-            adj=tuple(
-                tuple(_graph_int(v) for v in _graph_list(nbrs))
-                for nbrs in _graph_list(_field(data, "adj"))
-            ),
+            ground_size=json_int(ground, "ground"),
+            right_size=json_int(right, "right"),
+            adj=tuple(tuple(json_int(v, "right vertex") for v in json_list(nbrs, "neighbour list"))
+                      for nbrs in json_list(adj, "adj")),
         )
 
     def to_dict(self) -> dict:
@@ -110,17 +90,17 @@ class SimpleGraph:
             if a == b:
                 raise ShapeError("self loops are not allowed")
             if not (0 <= a < self.vertices and 0 <= b < self.vertices):
-                raise ShapeError(f"edge ({a}, {b}) out of range")
+                raise ShapeError(f"edge ({_quoted(a)}, {_quoted(b)}) out of range")
             canon.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimpleGraph":
+        vertices, edges = (json_field(data, key, "graph file") for key in ("vertices", "edges"))
         return cls(
-            vertices=_graph_int(_field(data, "vertices")),
-            edges=tuple(
-                (_graph_int(a), _graph_int(b)) for a, b in _graph_list(_field(data, "edges"))
-            ),
+            vertices=json_int(vertices, "vertices"),
+            edges=tuple(tuple(json_int(v, "vertex") for v in json_list(edge, "edge", 2))
+                        for edge in json_list(edges, "edges")),
         )
 
     def to_dict(self) -> dict:
@@ -284,7 +264,8 @@ def clique_gadget(g: SimpleGraph, k: int) -> BipartiteGraph:
     pads = math.comb(k, 2) - k - 1
     entries = len(g.edges) * (pads + 2)
     if entries > MAX_GADGET_ENTRIES:
-        raise CapExceeded(f"gadget needs {entries} adjacency entries, cap {MAX_GADGET_ENTRIES}")
+        raise CapExceeded(f"gadget needs {_quoted(entries)} adjacency entries, "
+                          f"cap {MAX_GADGET_ENTRIES}")
     right = g.vertices + pads
     pad_block = tuple(range(g.vertices, right)) if g.edges else ()
     adj = tuple((a, b) + pad_block for a, b in g.edges)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import _complex_matrix, _unit_scaled
-from .errors import CapExceeded, ShapeError
+from .errors import CapExceeded, ShapeError, _quoted
 from .exact_arith import _factorize, _units, euler_phi, is_prime
 from .exact_linalg import ExactMatrix, _integral_rows
 from .exact_linalg import det_exact, rank_exact  # noqa: F401 (bench/run.py --trace 1 wraps them)
@@ -605,7 +605,7 @@ def is_full_spark(
     """
     m, n = a.rows, a.cols
     if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+        raise ValueError(f"threads must be at least 1, got {_quoted(threads)}")
     if m > n:
         raise ShapeError(f"full spark needs cols >= rows, got {m}x{n}")
     k, witness, checked = _first_dependent(n, (m,), budget, _block_search(a))
@@ -662,14 +662,14 @@ def compressed_spark_probe(
         raise TypeError("compressed probe needs an integer ExactMatrix")
     m, n = f.rows, f.cols
     if not 1 <= k <= min(m, n):
-        raise ShapeError(f"k must lie in 1..min(rows, cols), got {k}")
+        raise ShapeError(f"k must lie in 1..min(rows, cols), got {_quoted(k)}")
     if trials < 1:
         raise ValueError("trials must be positive")
     p = (m**3) * (2 ** (n + 1))
     capped = False
     if p > p_cap:
         if not allow_cap:
-            raise CapExceeded(f"P = {p} exceeds cap {p_cap}")
+            raise CapExceeded(f"P = {_quoted(p)} exceeds cap {p_cap}")
         p = p_cap
         capped = True
     if p < k:

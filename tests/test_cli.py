@@ -528,6 +528,105 @@ def test_graph_files_with_missing_or_ill_typed_fields_exit_two(capsys, tmp_path)
         path = _write_json(tmp_path / f"simple{i}.json", doc)
         code, out, err = _run(capsys, ["clique-gadget", "--graph", path, "--k", "3"])
         assert _one_line_error(code, out, err), (doc, err)
+    # An edge that is not a pair is named, not unpacked.
+    for edge, named in (([0, 1, 2], "[0, 1, 2]"), (5, "5")):
+        path = _write_json(tmp_path / "edge.json", {"vertices": 3, "edges": [edge]})
+        code, out, err = _run(capsys, ["clique-gadget", "--graph", path, "--k", "4"])
+        assert _one_line_error(code, out, err), (edge, err)
+        assert err == f"error: ShapeError: edge must be a JSON list of 2, got {named}\n"
+
+
+def test_an_integer_past_the_decoder_digit_limit_names_its_file(capsys, tmp_path):
+    # json.loads refuses an integer of more than 4,300 digits with a plain ValueError.
+    digits = "1" * 5000
+    files = {
+        "m.json": f'{{"schema_version": 1, "kind": "integer", "rows": 1, "cols": 1, '
+                  f'"entries": [{digits}]}}',
+        "rows.json": f"[0, {digits}]",
+        "g.json": f'{{"ground": {digits}, "right": 1, "adj": []}}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for argv, what in (
+        (["spark", "--matrix", str(tmp_path / "m.json")], "invalid JSON"),
+        (["dft-analyze", "--n", "7", "--rows-file", str(tmp_path / "rows.json")],
+         "rows file must hold a JSON list; invalid JSON"),
+        (["matroid-girth", "--graph", str(tmp_path / "g.json")], "invalid JSON"),
+    ):
+        code, doc, err = _run(capsys, argv)
+        assert _one_line_error(code, doc, err), argv
+        assert err.startswith(f"error: {what} in {argv[-1]}: ") and "4300 digits" in err, err
+
+
+_LONG = "x" * 200_000
+_DIGITS = "9" * 4000
+
+
+def _matrix(**fields):
+    return {"schema_version": 1, "kind": "integer", "rows": 1, "cols": 1, "entries": [1], **fields}
+
+
+# Each outside value an error names, at a length that the parent printed whole
+# (1 KB to 200 KB): name -> (parent exit code, argv, {option: JSON file it reads}),
+# where the option "env" sets $SPARKFORGE_BUDGET instead.
+_OUTSIDE_VALUES = {
+    # JSON values of the wrong type, each holding a 200,000-character string.
+    "integer entry": (2, ["spark"], {"--matrix": _matrix(cols=2, entries=[1, _LONG])}),
+    "entries": (2, ["spark"], {"--matrix": _matrix(entries=_LONG)}),
+    "rows": (2, ["spark"], {"--matrix": _matrix(rows=_LONG)}),
+    "order": (2, ["spark"], {"--matrix": _matrix(kind="cyclotomic", order=_LONG)}),
+    "schema_version": (2, ["spark"], {"--matrix": _matrix(schema_version=_LONG)}),
+    "kind": (2, ["spark"], {"--matrix": _matrix(kind=_LONG)}),
+    "cyclotomic entry": (2, ["spark"], {"--matrix": _matrix(kind="cyclotomic", order=5,
+                                                            entries=[_LONG])}),
+    "cyclotomic coefficient": (2, ["spark"], {"--matrix": _matrix(kind="cyclotomic", order=5,
+                                                                  entries=[[1, _LONG]])}),
+    "complex entry": (2, ["spark"], {"--matrix": _matrix(kind="complex_float",
+                                                         entries=[[_LONG, 0]])}),
+    "row": (2, ["dft-analyze", "--n", "7"], {"--rows-file": [0, _LONG]}),
+    "adj": (2, ["matroid-girth"], {"--graph": {"ground": 0, "right": 1, "adj": _LONG}}),
+    "right vertex type": (2, ["matroid-girth"],
+                          {"--graph": {"ground": 1, "right": 1, "adj": [[_LONG]]}}),
+    "edge": (2, ["clique-gadget", "--k", "4"], {"--graph": {"vertices": 3, "edges": [[0, _LONG]]}}),
+    # Integers of 4,000 digits, out of range, and values computed from them.
+    "--budget": (2, ["spark", "--dft", "7", "--rows", "0,1", "--budget", "-" + _DIGITS], {}),
+    "--cap": (2, ["orbit", "--n", "7", "--rows", "0,1", "--cap", "-" + _DIGITS], {}),
+    "--dft": (2, ["spark", "--dft", _DIGITS, "--rows", "0,1"], {}),
+    "probe --k": (2, ["probe", "--k", _DIGITS], {"--matrix": _matrix()}),
+    "matrix rows": (2, ["spark"], {"--matrix": _matrix(rows=-int(_DIGITS))}),
+    "matrix entry count": (2, ["spark"], {"--matrix": _matrix(rows=int(_DIGITS))}),
+    "matrix order": (2, ["spark"], {"--matrix": _matrix(kind="cyclotomic", order=int(_DIGITS))}),
+    "--rows residue": (2, ["dft-analyze", "--n", "7", "--rows", "0," + _DIGITS], {}),
+    "rows file residue": (2, ["dft-analyze", "--n", "7"], {"--rows-file": [0, int(_DIGITS)]}),
+    "graph vertex": (2, ["matroid-girth"],
+                     {"--graph": {"ground": 1, "right": 1, "adj": [[int(_DIGITS)]]}}),
+    "graph edge": (2, ["clique-gadget", "--k", "4"],
+                   {"--graph": {"vertices": 3, "edges": [[0, int(_DIGITS)]]}}),
+    "vandermonde --m": (2, ["construct", "--vandermonde", "--bases", "1", "--m", _DIGITS], {}),
+    # C(k, 2) of a 1,000-digit k, and the sketch pool P = 8 * 2^3001 of 3,000 columns.
+    "gadget entries": (3, ["clique-gadget", "--k", "1" + "0" * 1000],
+                       {"--graph": {"vertices": 3, "edges": [[0, 1]]}}),
+    "probe P": (3, ["probe", "--k", "2", "--no-cap"],
+                {"--matrix": _matrix(rows=2, cols=3000, entries=[1] * 3000 + [*range(3000)])}),
+    # Integers of 100,000 digits, more than int() reads.
+    "--budget digits": (2, ["spark", "--dft", "7", "--rows", "0,1", "--budget", "1" * 100_000],
+                        {}),
+    "SPARKFORGE_BUDGET digits": (2, ["spark", "--dft", "7", "--rows", "0,1"],
+                                 {"env": "1" * 100_000}),
+}
+
+
+@pytest.mark.parametrize("name", list(_OUTSIDE_VALUES))
+def test_every_outside_value_is_named_within_the_line_bound(capsys, tmp_path, monkeypatch, name):
+    want, argv, inputs = _OUTSIDE_VALUES[name]
+    for option, payload in inputs.items():
+        if option == "env":
+            monkeypatch.setenv(cli.BUDGET_ENV, payload)
+        else:
+            argv = [*argv, option, _write_json(tmp_path / "input.json", payload)]
+    code, doc, err = _run(capsys, argv)
+    assert (code, doc) == (want, None) and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200 and " characters)" in err, err[:300]
 
 
 def test_non_finite_or_negative_delta_and_tol_exit_two(capsys, tmp_path):
@@ -702,6 +801,11 @@ def test_a_long_bad_token_is_quoted_by_a_prefix_and_its_length(capsys, tmp_path)
          "expected integers, got '1111111111'... (100001 characters)"),
         (["spark", "--dft", "7", "--rows", "0,1", "--budget", token],
          f"argument --budget: must be an integer, got {quoted}"),
+        # A value that is not a string is cut from its repr, with no quotes.
+        (["orbit", "--n", "7", "--rows", "0,1", "--cap", "-" + "9" * 4000],
+         "argument --cap: must be non-negative, got -999999999... (4001 characters)"),
+        (["spark", "--dft", "9" * 4000, "--rows", "0,1"],
+         f"order must lie in 1..{cli.MAX_ORDER}, got 9999999999... (4000 characters)"),
     ):
         code, doc, err = _run(capsys, argv)
         assert _one_line_error(code, doc, err) and len(err.encode()) < 200, argv[:4]
